@@ -1,9 +1,8 @@
 //! Golden-file test: the scenario registry must regenerate the checked-in
-//! figure CSVs (`results/`) byte-for-byte. The default run covers the
-//! cheap, scale-independent figures (fig01–fig04, 5 CSVs); set
-//! `IOBTS_GOLDEN_FULL=1` to regenerate and compare every figure and
-//! ablation CSV (release build recommended — the sweeps are slow in
-//! debug).
+//! CSVs (`results/`) byte-for-byte. It runs every figure and ablation entry
+//! at quick scale, and the chaos group in its `--quick` form, which covers
+//! the fault paths (outage, brownout, …) of the PFS engine. About 6 s in a
+//! debug build, well under 1 s in release.
 
 use bench::registry::{select, ScenarioCtx};
 use std::path::PathBuf;
@@ -21,21 +20,17 @@ fn registry_regenerates_golden_csvs() {
     // override cannot race another test.
     std::env::set_var("IOBTS_RESULTS_DIR", &tmp);
 
-    let full = std::env::var("IOBTS_GOLDEN_FULL").is_ok();
-    let ctx = ScenarioCtx::default();
-    let figure_pats: Vec<String> = if full {
-        Vec::new() // empty selection = the whole group
-    } else {
-        ["fig01_02", "fig03", "fig04"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
+    let quick = ScenarioCtx {
+        quick: true,
+        ..ScenarioCtx::default()
     };
-    for s in select("figure", &figure_pats).unwrap() {
-        (s.run)(&ctx).unwrap_or_else(|e| panic!("{} failed: {e}", s.name));
-    }
-    if full {
-        for s in select("ablation", &[]).unwrap() {
+    for (group, ctx) in [
+        ("figure", ScenarioCtx::default()),
+        ("ablation", ScenarioCtx::default()),
+        ("chaos", quick),
+    ] {
+        // An empty selection is the whole group.
+        for s in select(group, &[]).unwrap() {
             (s.run)(&ctx).unwrap_or_else(|e| panic!("{} failed: {e}", s.name));
         }
     }
@@ -50,13 +45,35 @@ fn registry_regenerates_golden_csvs() {
         let fresh = std::fs::read(&p).unwrap();
         let golden = std::fs::read(golden_dir().join(&name))
             .unwrap_or_else(|e| panic!("no golden file for {name}: {e}"));
-        assert_eq!(
-            fresh, golden,
-            "{name} drifted from the checked-in golden CSV — the registry \
-             pipeline no longer reproduces results/ byte-for-byte"
-        );
+        if fresh != golden {
+            let (f, g) = (
+                String::from_utf8_lossy(&fresh),
+                String::from_utf8_lossy(&golden),
+            );
+            let at = f.lines().zip(g.lines()).position(|(a, b)| a != b);
+            let show = |s: &str| at.and_then(|i| s.lines().nth(i)).unwrap_or("").to_string();
+            panic!(
+                "{name} drifted from the checked-in golden CSV — the registry \
+                 pipeline no longer reproduces results/ byte-for-byte; first \
+                 differing line {at:?}: {:?} (golden {:?})",
+                show(&f),
+                show(&g)
+            );
+        }
         compared += 1;
     }
-    assert!(compared >= 5, "only {compared} CSVs compared");
+    // Every checked-in CSV must have been regenerated and compared.
+    let expected = std::fs::read_dir(golden_dir())
+        .unwrap()
+        .filter(|e| {
+            e.as_ref()
+                .unwrap()
+                .path()
+                .extension()
+                .and_then(|x| x.to_str())
+                == Some("csv")
+        })
+        .count();
+    assert_eq!(compared, expected, "CSVs compared vs checked in");
     let _ = std::fs::remove_dir_all(&tmp);
 }
