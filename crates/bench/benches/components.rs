@@ -3,7 +3,7 @@
 //! updates, and the end-to-end interpreter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pfsim::alloc::{water_fill, water_fill_into, Demand, WaterFillScratch};
+use pfsim::alloc::{water_fill, Demand};
 use pfsim::{Channel, FlowSpec, Pfs, PfsConfig};
 use simcore::{EventQueue, SimTime};
 use std::hint::black_box;
@@ -26,36 +26,6 @@ fn bench_water_fill(c: &mut Criterion) {
             .collect();
         g.bench_with_input(BenchmarkId::from_parameter(n), &demands, |b, d| {
             b.iter(|| water_fill(black_box(5_000.0), black_box(d)))
-        });
-    }
-    g.finish();
-}
-
-fn bench_water_fill_into(c: &mut Criterion) {
-    let mut g = c.benchmark_group("water_fill_into");
-    for n in [4usize, 64, 1024] {
-        let demands: Vec<Demand> = (0..n)
-            .map(|i| Demand {
-                count: 1 + i % 3,
-                weight: 1.0 + (i % 5) as f64,
-                cap: if i % 2 == 0 {
-                    Some(10.0 + i as f64)
-                } else {
-                    None
-                },
-            })
-            .collect();
-        g.bench_with_input(BenchmarkId::from_parameter(n), &demands, |b, d| {
-            let mut scratch = WaterFillScratch::default();
-            let mut rates = Vec::new();
-            b.iter(|| {
-                black_box(water_fill_into(
-                    black_box(5_000.0),
-                    black_box(d),
-                    &mut scratch,
-                    &mut rates,
-                ))
-            })
         });
     }
     g.finish();
@@ -230,7 +200,6 @@ fn bench_online_aggregator(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_water_fill,
-    bench_water_fill_into,
     bench_event_queue,
     bench_pfs_engine,
     bench_region_sweep,

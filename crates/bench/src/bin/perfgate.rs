@@ -22,7 +22,7 @@
 use bench::par::{jobs, with_jobs};
 use bench::registry::{select, ScenarioCtx};
 use mpisim::{IoHooks, Limits, ReqTag};
-use pfsim::alloc::{water_fill, water_fill_into, Demand, WaterFillScratch};
+use pfsim::alloc::{water_fill, Demand};
 use pfsim::{Channel, FlowSpec, Pfs, PfsConfig};
 use simcore::{EventQueue, SimTime};
 use std::collections::HashMap;
@@ -97,9 +97,8 @@ fn gate_figures(entries: &mut Vec<Entry>, reps: usize) {
     }
 }
 
-/// ns/op of a from-scratch `water_fill` vs the buffer-reusing
-/// `water_fill_into` at a representative group count.
-fn gate_water_fill() -> (f64, f64) {
+/// ns/op of a from-scratch `water_fill` at a representative group count.
+fn gate_water_fill() -> f64 {
     let n = 1024usize;
     let demands: Vec<Demand> = (0..n)
         .map(|i| Demand {
@@ -113,32 +112,17 @@ fn gate_water_fill() -> (f64, f64) {
         })
         .collect();
     let iters = 2_000u32;
-    let alloc_ns = best_secs(5, || {
+    best_secs(5, || {
         for _ in 0..iters {
             black_box(water_fill(black_box(5_000.0), black_box(&demands)));
         }
     }) * 1e9
-        / iters as f64;
-    let mut scratch = WaterFillScratch::default();
-    let mut rates = Vec::new();
-    let into_ns = best_secs(5, || {
-        for _ in 0..iters {
-            black_box(water_fill_into(
-                black_box(5_000.0),
-                black_box(&demands),
-                &mut scratch,
-                &mut rates,
-            ));
-        }
-    }) * 1e9
-        / iters as f64;
-    (alloc_ns, into_ns)
+        / iters as f64
 }
 
 /// ns per completed flow for a staggered PFS burst. Distinct sizes defeat
-/// group merging, so group count equals flow count — this is the regime where
-/// the completion-time index (O(1) `next_completion` instead of an O(groups)
-/// scan per harvest step) and the allocation-free reallocation pay off.
+/// group merging, so group count equals flow count — the regime where a
+/// per-event cost that grew with the group count would show.
 fn gate_pfs_burst() -> f64 {
     let flows = 2048usize;
     best_secs(3, || {
@@ -526,7 +510,7 @@ fn main() {
     let mut entries = Vec::new();
     gate_figures(&mut entries, reps);
     eprintln!("[perfgate] micro kernels ...");
-    let (wf_alloc_ns, wf_into_ns) = gate_water_fill();
+    let wf_alloc_ns = gate_water_fill();
     let pfs_ns = gate_pfs_burst();
     let queue_ns = gate_queue_churn();
     let (tm_legacy_ns, tm_new_ns) = gate_tracer_match();
@@ -574,13 +558,6 @@ fn main() {
     json.push_str("  \"micro\": {\n");
     json.push_str(&format!(
         "    \"water_fill_1024_alloc_ns\": {wf_alloc_ns:.1},\n"
-    ));
-    json.push_str(&format!(
-        "    \"water_fill_1024_into_ns\": {wf_into_ns:.1},\n"
-    ));
-    json.push_str(&format!(
-        "    \"water_fill_into_speedup\": {:.2},\n",
-        wf_alloc_ns / wf_into_ns.max(1e-12)
     ));
     json.push_str(&format!("    \"pfs_burst_ns_per_flow\": {pfs_ns:.1},\n"));
     json.push_str(&format!(

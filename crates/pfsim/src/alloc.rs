@@ -35,20 +35,13 @@ pub struct Allocation {
     pub theta: f64,
 }
 
-/// Reusable buffers for repeated [`water_fill_into`] solves.
-///
-/// The fluid engine re-solves the allocation on every state change; keeping
-/// the sort/freeze buffers resident makes the hot path allocation-free.
-#[derive(Default, Debug)]
-pub struct WaterFillScratch {
-    order: Vec<usize>,
-    frozen: Vec<bool>,
-}
-
 /// Solves the bounded max-min allocation for `capacity` bytes/s.
 ///
 /// Complexity: O(n log n) in the number of demand entries (not flows — callers
-/// should aggregate identical flows into one entry).
+/// should aggregate identical flows into one entry). The PFS engine does not
+/// call this per event: it runs the same breakpoint walk over its capped
+/// groups only (see [`crate::Pfs`]); this is the from-scratch form its
+/// invariant checks and the reference model use.
 ///
 /// ```
 /// use pfsim::alloc::{water_fill, Demand};
@@ -60,54 +53,19 @@ pub struct WaterFillScratch {
 /// assert_eq!(alloc.rates, vec![10.0, 90.0]); // work-conserving
 /// ```
 pub fn water_fill(capacity: f64, demands: &[Demand]) -> Allocation {
-    let mut scratch = WaterFillScratch::default();
-    let mut rates = Vec::with_capacity(demands.len());
-    let theta = water_fill_into(capacity, demands, &mut scratch, &mut rates);
-    Allocation { rates, theta }
-}
-
-/// Allocation-free variant of [`water_fill`]: writes per-flow rates into
-/// `rates` (cleared first) and returns θ, reusing `scratch` between calls.
-///
-/// Produces bit-identical results to [`water_fill`]. When no demand carries a
-/// cap — the dominant case for synchronized bursts — the solve skips the
-/// breakpoint sort entirely and runs in O(n).
-pub fn water_fill_into(
-    capacity: f64,
-    demands: &[Demand],
-    scratch: &mut WaterFillScratch,
-    rates: &mut Vec<f64>,
-) -> f64 {
     assert!(capacity >= 0.0, "capacity must be non-negative");
-    rates.clear();
-    let mut any_cap = false;
     let mut total_weight = 0.0f64;
     for d in demands {
         assert!(d.weight > 0.0, "weights must be positive");
         if let Some(c) = d.cap {
             assert!(c >= 0.0, "caps must be non-negative");
-            any_cap = true;
         }
         total_weight += d.weight * d.count as f64;
     }
 
-    // Fast path: with no caps the first breakpoint walk iteration binds θ
-    // immediately, so the sort is pure overhead. Same float operations as
-    // the general path, hence bit-identical rates.
-    if !any_cap {
-        if demands.is_empty() {
-            return f64::INFINITY;
-        }
-        let theta = capacity / total_weight;
-        rates.extend(demands.iter().map(|d| theta * d.weight));
-        return theta;
-    }
-
     // Breakpoint of entry i: the θ at which it becomes cap-limited.
     // Sort entry indices by breakpoint ascending (uncapped = ∞ last).
-    let order = &mut scratch.order;
-    order.clear();
-    order.extend(0..demands.len());
+    let mut order: Vec<usize> = (0..demands.len()).collect();
     let breakpoint = |d: &Demand| d.cap.map_or(f64::INFINITY, |c| c / d.weight);
     order.sort_by(|&a, &b| {
         breakpoint(&demands[a])
@@ -120,9 +78,7 @@ pub fn water_fill_into(
     let mut remaining_capacity = capacity;
     let mut active_weight: f64 = total_weight;
     let mut theta = f64::INFINITY;
-    let frozen = &mut scratch.frozen;
-    frozen.clear();
-    frozen.resize(demands.len(), false);
+    let mut frozen = vec![false; demands.len()];
 
     for &i in order.iter() {
         let d = &demands[i];
@@ -154,7 +110,7 @@ pub fn water_fill_into(
         }
     }
 
-    rates.extend(demands.iter().enumerate().map(|(i, d)| {
+    let rates = demands.iter().enumerate().map(|(i, d)| {
         let fair = if theta.is_infinite() {
             f64::INFINITY
         } else {
@@ -171,9 +127,12 @@ pub fn water_fill_into(
         } else {
             r
         }
-    }));
+    });
 
-    theta
+    Allocation {
+        rates: rates.collect(),
+        theta,
+    }
 }
 
 #[cfg(test)]
@@ -441,75 +400,6 @@ mod tests {
         for (cap, d) in cases {
             let a = water_fill(cap, &d);
             assert!(total(&a, &d) <= cap * (1.0 + 1e-9), "over capacity");
-        }
-    }
-
-    #[test]
-    fn into_variant_matches_allocating_variant_across_reuse() {
-        // One scratch reused across solves of different shapes, including
-        // the no-cap fast path and the empty case, must match `water_fill`
-        // bit-for-bit.
-        let cases: Vec<(f64, Vec<Demand>)> = vec![
-            (100.0, vec![]),
-            (
-                100.0,
-                vec![Demand {
-                    count: 3,
-                    weight: 1.5,
-                    cap: None,
-                }],
-            ),
-            (
-                90.0,
-                vec![
-                    Demand {
-                        count: 1,
-                        weight: 1.0,
-                        cap: Some(10.0),
-                    },
-                    Demand {
-                        count: 2,
-                        weight: 2.0,
-                        cap: None,
-                    },
-                    Demand {
-                        count: 1,
-                        weight: 1.0,
-                        cap: Some(40.0),
-                    },
-                ],
-            ),
-            (
-                0.0,
-                vec![Demand {
-                    count: 4,
-                    weight: 1.0,
-                    cap: Some(5.0),
-                }],
-            ),
-            (
-                106e9,
-                vec![
-                    Demand {
-                        count: 9216,
-                        weight: 1.0,
-                        cap: Some(5e6),
-                    },
-                    Demand {
-                        count: 1,
-                        weight: 96.0,
-                        cap: None,
-                    },
-                ],
-            ),
-        ];
-        let mut scratch = WaterFillScratch::default();
-        let mut rates = Vec::new();
-        for (cap, d) in &cases {
-            let reference = water_fill(*cap, d);
-            let theta = water_fill_into(*cap, d, &mut scratch, &mut rates);
-            assert_eq!(reference.rates, rates);
-            assert_eq!(reference.theta, theta);
         }
     }
 
