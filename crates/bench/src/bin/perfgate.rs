@@ -10,7 +10,7 @@
 //! disabled, so pure computation is measured) twice — forced single-thread
 //! and at the host's full worker count — plus the micro-kernels behind them
 //! (water-filling allocator, PFS completion harvesting, event-queue churn,
-//! tracer request matching, incremental region sweep), and writes the
+//! tracer request matching through the report's Eq. 3 series), and writes the
 //! measurements to `BENCH_pr5.json`. On a single-core host the jobs-N column
 //! degenerates to jobs-1 and the parallel speedup claim is meaningless; the
 //! gate warns loudly and records `parallel_meaningful: false` (CI pins
@@ -18,6 +18,7 @@
 //!
 //! With `--check <baseline.json>` the gate re-reads a checked-in baseline
 //! and fails (exit 1) if any time-like metric regressed by more than 10 %.
+//! Baseline metrics this run no longer emits are skipped.
 
 use bench::par::{jobs, with_jobs};
 use bench::registry::{select, ScenarioCtx};
@@ -28,7 +29,7 @@ use simcore::{EventQueue, SimTime};
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
-use tmio::{sweep, IncrementalSweep, Interval, Strategy, Tracer, TracerConfig};
+use tmio::{Strategy, Tracer, TracerConfig};
 
 /// The registry entries the gate times — the sweep-shaped scenarios whose
 /// wall time dominates figure regeneration — with the descriptive labels
@@ -176,254 +177,44 @@ const TM_RANKS: usize = 16;
 const TM_PHASES: usize = 32;
 const TM_REQS: usize = 64;
 
-/// Replica of the pre-slot-map tracer's matching engine: open spans in a
-/// `HashMap<(rank, tag), _>` probed on every hook call, AoS record vectors
-/// grown without capacity, and the Eq. 3 series recomputed from scratch
-/// (collect + sort) at the end of the run.
-mod legacy_match {
-    use super::*;
-
-    struct OpenSpan {
-        submit: SimTime,
-        complete: Option<SimTime>,
-        wait_enter: Option<SimTime>,
-        bytes: f64,
-    }
-
-    struct Pending {
-        tag: ReqTag,
-        bytes: f64,
-        ts: SimTime,
-    }
-
-    #[derive(Default)]
-    struct RankTrace {
-        phase: usize,
-        queue: Vec<Pending>,
-        tq_outstanding: usize,
-        tq_start: f64,
-        tq_bytes: f64,
-    }
-
-    pub struct LegacyTracer {
-        ranks: Vec<RankTrace>,
-        open_spans: HashMap<(usize, u32), OpenSpan>,
-        phases: Vec<(usize, usize, f64, f64, f64)>,
-        windows: Vec<(usize, f64, f64, f64)>,
-        spans: Vec<(usize, f64, f64, f64, f64)>,
-    }
-
-    impl LegacyTracer {
-        pub fn new(n_ranks: usize) -> Self {
-            LegacyTracer {
-                ranks: (0..n_ranks).map(|_| RankTrace::default()).collect(),
-                open_spans: HashMap::new(),
-                phases: Vec::new(),
-                windows: Vec::new(),
-                spans: Vec::new(),
-            }
-        }
-
-        pub fn submit(&mut self, t: SimTime, rank: usize, tag: ReqTag, bytes: f64) {
-            let rt = &mut self.ranks[rank];
-            rt.queue.push(Pending { tag, bytes, ts: t });
-            if rt.tq_outstanding == 0 {
-                rt.tq_start = t.as_secs();
-                rt.tq_bytes = 0.0;
-            }
-            rt.tq_outstanding += 1;
-            rt.tq_bytes += bytes;
-            self.open_spans.insert(
-                (rank, tag.0),
-                OpenSpan {
-                    submit: t,
-                    complete: None,
-                    wait_enter: None,
-                    bytes,
-                },
-            );
-        }
-
-        pub fn complete(&mut self, t: SimTime, rank: usize, tag: ReqTag) {
-            if let Some(span) = self.open_spans.get_mut(&(rank, tag.0)) {
-                span.complete = Some(t);
-            }
-            self.try_close_span(rank, tag);
-            let rt = &mut self.ranks[rank];
-            rt.tq_outstanding -= 1;
-            if rt.tq_outstanding == 0 {
-                self.windows
-                    .push((rank, rt.tq_start, t.as_secs(), rt.tq_bytes));
-            }
-        }
-
-        pub fn wait_enter(&mut self, t: SimTime, rank: usize, tag: ReqTag) {
-            if let Some(span) = self.open_spans.get_mut(&(rank, tag.0)) {
-                span.wait_enter = Some(t);
-            }
-            self.try_close_span(rank, tag);
-            let rt = &mut self.ranks[rank];
-            if rt.queue.first().is_some_and(|p| p.tag == tag) {
-                // Close the phase: aggregate B_{i,j} over the queue.
-                let ts = rt.queue.first().map(|p| p.ts.as_secs()).unwrap_or(0.0);
-                let bytes: f64 = rt.queue.iter().map(|p| p.bytes).sum();
-                let b = bytes / (t.as_secs() - ts).max(1e-12);
-                let phase = rt.phase;
-                rt.phase += 1;
-                rt.queue.clear();
-                self.phases.push((rank, phase, ts, t.as_secs(), b));
-            }
-        }
-
-        fn try_close_span(&mut self, rank: usize, tag: ReqTag) {
-            let key = (rank, tag.0);
-            let ready = self
-                .open_spans
-                .get(&key)
-                .is_some_and(|s| s.complete.is_some() && s.wait_enter.is_some());
-            if ready {
-                let s = self.open_spans.remove(&key).expect("span present");
-                self.spans.push((
-                    rank,
-                    s.submit.as_secs(),
-                    s.complete.expect("set").as_secs(),
-                    s.wait_enter.expect("set").as_secs(),
-                    s.bytes,
-                ));
-            }
-        }
-
-        /// The end-of-run Eq. 3 aggregation the old engine performed:
-        /// collect phase intervals, then sort-sweep them from scratch.
-        pub fn required_series(&self) -> simcore::StepSeries {
-            let intervals: Vec<Interval> = self
-                .phases
-                .iter()
-                .map(|&(_, _, ts, te, b)| Interval { ts, te, value: b })
-                .collect();
-            sweep(&intervals)
-        }
-    }
-}
-
-/// Target of the matching workload: one submit→complete→wait request cycle.
-trait MatchSink {
-    fn submit(&mut self, t: SimTime, rank: usize, tag: ReqTag, bytes: f64);
-    fn complete(&mut self, t: SimTime, rank: usize, tag: ReqTag);
-    fn wait(&mut self, t: SimTime, rank: usize, tag: ReqTag);
-}
-
-impl MatchSink for legacy_match::LegacyTracer {
-    fn submit(&mut self, t: SimTime, rank: usize, tag: ReqTag, bytes: f64) {
-        legacy_match::LegacyTracer::submit(self, t, rank, tag, bytes);
-    }
-    fn complete(&mut self, t: SimTime, rank: usize, tag: ReqTag) {
-        legacy_match::LegacyTracer::complete(self, t, rank, tag);
-    }
-    fn wait(&mut self, t: SimTime, rank: usize, tag: ReqTag) {
-        self.wait_enter(t, rank, tag);
-    }
-}
-
-/// Adapter feeding the hook-call cycle into the real tracer.
-struct TracerSink {
-    tracer: Tracer,
-    limits: Limits,
-}
-
-impl MatchSink for TracerSink {
-    fn submit(&mut self, t: SimTime, rank: usize, tag: ReqTag, bytes: f64) {
-        self.tracer
-            .on_async_submit(t, rank, tag, bytes, Channel::Write, &mut self.limits);
-    }
-    fn complete(&mut self, t: SimTime, rank: usize, tag: ReqTag) {
-        self.tracer.on_request_complete(t, rank, tag);
-    }
-    fn wait(&mut self, t: SimTime, rank: usize, tag: ReqTag) {
-        self.tracer
-            .on_wait_enter(t, rank, tag, true, &mut self.limits);
-        self.tracer.on_wait_exit(t, rank, tag, &mut self.limits);
-    }
-}
-
-/// Drives the submit→complete→wait cycle workload through `sink`.
-fn drive_match_workload(sink: &mut impl MatchSink) {
-    let mut t = 0.0f64;
-    for _ in 0..TM_PHASES {
-        for rank in 0..TM_RANKS {
-            for r in 0..TM_REQS {
-                t += 1e-5;
-                sink.submit(SimTime::from_secs(t), rank, ReqTag(r as u32), 1e6);
-            }
-            for r in 0..TM_REQS {
-                t += 1e-5;
-                sink.complete(SimTime::from_secs(t), rank, ReqTag(r as u32));
-            }
-            for r in 0..TM_REQS {
-                t += 1e-5;
-                sink.wait(SimTime::from_secs(t), rank, ReqTag(r as u32));
-            }
-        }
-    }
-}
-
-/// ns per request through the legacy HashMap matcher vs the slot-map
-/// tracer, both ending with the Eq. 3 required-bandwidth series (scratch
-/// sort-sweep vs the incremental sweep-line kept live during the run).
-fn gate_tracer_match() -> (f64, f64) {
+/// ns per request through the tracer's submit→complete→wait matching,
+/// ending with the finished report's Eq. 3 required-bandwidth series.
+fn gate_tracer_match() -> f64 {
     let reqs = (TM_PHASES * TM_RANKS * TM_REQS) as f64;
-    let legacy_ns = best_secs(5, || {
-        let mut tr = legacy_match::LegacyTracer::new(TM_RANKS);
-        drive_match_workload(&mut tr);
-        black_box(tr.required_series());
-    }) * 1e9
-        / reqs;
-    let new_ns = best_secs(5, || {
-        let mut sink = TracerSink {
-            tracer: Tracer::new(TM_RANKS, TracerConfig::with_strategy(Strategy::None)),
-            limits: Limits::new(TM_RANKS, false),
+    best_secs(5, || {
+        let mut tracer = Tracer::new(TM_RANKS, TracerConfig::with_strategy(Strategy::None));
+        let mut limits = Limits::new(TM_RANKS, false);
+        let mut t = 0.0f64;
+        let mut tick = || {
+            t += 1e-5;
+            SimTime::from_secs(t)
         };
-        drive_match_workload(&mut sink);
-        black_box(sink.tracer.live_required_series());
-    }) * 1e9
-        / reqs;
-    (legacy_ns, new_ns)
-}
-
-/// ns per operation (insert or query) for the Eq. 3 sweep under interleaved
-/// appends and series queries — the monitoring access pattern. The scratch
-/// path re-sorts every interval on each query; the incremental sweep-line
-/// inserts edges in place and re-accumulates without sorting.
-fn gate_sweep_incremental() -> (f64, f64) {
-    let n = 4_000usize;
-    let query_every = 100usize;
-    let iv = |i: usize| Interval {
-        ts: ((i * 7919) % 1000) as f64 * 0.01,
-        te: ((i * 7919) % 1000) as f64 * 0.01 + 0.5 + (i % 7) as f64 * 0.1,
-        value: 1.0 + (i % 13) as f64,
-    };
-    let ops = (n + n / query_every) as f64;
-    let scratch_ns = best_secs(3, || {
-        let mut ivs: Vec<Interval> = Vec::new();
-        for i in 0..n {
-            ivs.push(iv(i));
-            if (i + 1) % query_every == 0 {
-                black_box(sweep(&ivs));
+        for _ in 0..TM_PHASES {
+            for rank in 0..TM_RANKS {
+                for r in 0..TM_REQS as u32 {
+                    tracer.on_async_submit(
+                        tick(),
+                        rank,
+                        ReqTag(r),
+                        1e6,
+                        Channel::Write,
+                        &mut limits,
+                    );
+                }
+                for r in 0..TM_REQS as u32 {
+                    tracer.on_request_complete(tick(), rank, ReqTag(r));
+                }
+                for r in 0..TM_REQS as u32 {
+                    let now = tick();
+                    tracer.on_wait_enter(now, rank, ReqTag(r), true, &mut limits);
+                    tracer.on_wait_exit(now, rank, ReqTag(r), &mut limits);
+                }
             }
         }
+        let report = tracer.into_report();
+        black_box(report.required_series());
     }) * 1e9
-        / ops;
-    let incr_ns = best_secs(3, || {
-        let mut inc = IncrementalSweep::new();
-        for i in 0..n {
-            inc.push(iv(i));
-            if (i + 1) % query_every == 0 {
-                black_box(inc.series());
-            }
-        }
-    }) * 1e9
-        / ops;
-    (scratch_ns, incr_ns)
+        / reqs
 }
 
 // ---------------------------------------------------------------------
@@ -476,7 +267,8 @@ fn time_metrics(v: &serde::Value) -> Vec<(String, f64)> {
 }
 
 /// Compares the current run against a checked-in baseline; returns the list
-/// of metrics that regressed beyond [`CHECK_TOLERANCE`].
+/// of metrics that regressed beyond [`CHECK_TOLERANCE`]. Only metrics the
+/// current run emits are compared.
 fn regressions(baseline: &serde::Value, current: &serde::Value) -> Vec<String> {
     let base: HashMap<String, f64> = time_metrics(baseline).into_iter().collect();
     let mut bad = Vec::new();
@@ -513,8 +305,7 @@ fn main() {
     let wf_alloc_ns = gate_water_fill();
     let pfs_ns = gate_pfs_burst();
     let queue_ns = gate_queue_churn();
-    let (tm_legacy_ns, tm_new_ns) = gate_tracer_match();
-    let (sw_scratch_ns, sw_incr_ns) = gate_sweep_incremental();
+    let tm_ns = gate_tracer_match();
 
     let parallel_meaningful = cores > 1 && entries.iter().any(|e| e.jobs_n_s != e.jobs1_s);
     if !parallel_meaningful {
@@ -563,26 +354,7 @@ fn main() {
     json.push_str(&format!(
         "    \"queue_churn_ns_per_event\": {queue_ns:.1},\n"
     ));
-    json.push_str(&format!(
-        "    \"tracer_match_legacy_ns_per_req\": {tm_legacy_ns:.1},\n"
-    ));
-    json.push_str(&format!(
-        "    \"tracer_match_ns_per_req\": {tm_new_ns:.1},\n"
-    ));
-    json.push_str(&format!(
-        "    \"tracer_match_speedup\": {:.2},\n",
-        tm_legacy_ns / tm_new_ns.max(1e-12)
-    ));
-    json.push_str(&format!(
-        "    \"sweep_scratch_ns_per_op\": {sw_scratch_ns:.1},\n"
-    ));
-    json.push_str(&format!(
-        "    \"sweep_incremental_ns_per_op\": {sw_incr_ns:.1},\n"
-    ));
-    json.push_str(&format!(
-        "    \"sweep_incremental_speedup\": {:.2}\n",
-        sw_scratch_ns / sw_incr_ns.max(1e-12)
-    ));
+    json.push_str(&format!("    \"tracer_match_ns_per_req\": {tm_ns:.1}\n"));
     json.push_str("  },\n");
     json.push_str(&format!(
         "  \"gate_wall_s\": {:.1}\n",

@@ -21,14 +21,17 @@ pub struct Interval {
 
 /// Sweep-line aggregation (Eq. 3): returns the step series of
 /// `Σ value` over the overlap regions. Zero-length intervals are ignored
-/// (they would contribute to a region of measure zero).
+/// (they would contribute to a region of measure zero), and so are
+/// zero-valued ones (they add nothing to any region).
 pub fn sweep(intervals: &[Interval]) -> StepSeries {
-    let mut events: Vec<(f64, f64)> = Vec::with_capacity(intervals.len() * 2);
+    // `(time, delta, opens)`: each interval opens with `+value` at `ts` and
+    // closes with `-value` at `te`.
+    let mut events: Vec<(f64, f64, bool)> = Vec::with_capacity(intervals.len() * 2);
     for iv in intervals {
         debug_assert!(iv.te >= iv.ts, "interval must not be reversed");
-        if iv.te > iv.ts {
-            events.push((iv.ts, iv.value));
-            events.push((iv.te, -iv.value));
+        if iv.te > iv.ts && iv.value != 0.0 {
+            events.push((iv.ts, iv.value, true));
+            events.push((iv.te, -iv.value, false));
         }
     }
     // Sort by time; at equal times apply removals before additions so that a
@@ -39,27 +42,27 @@ pub fn sweep(intervals: &[Interval]) -> StepSeries {
             .invariant("NaN-free")
             .then(a.1.partial_cmp(&b.1).invariant("NaN-free"))
     });
-    // Residue guard scale: cancellation residue is proportional to the
-    // magnitudes that were summed, so the threshold must be *relative* to
-    // the largest interval value. An absolute cutoff would silently zero
-    // legitimate small-magnitude metrics (normalized or per-byte values
-    // below the cutoff).
-    let max_abs = intervals
-        .iter()
-        .map(|iv| iv.value.abs())
-        .fold(0.0, f64::max);
-    let residue = 1e-9 * max_abs;
     let mut series = StepSeries::new();
     let mut sum = 0.0;
+    let mut open = 0usize;
     let mut i = 0;
     while i < events.len() {
         let t = events[i].0;
         while i < events.len() && events[i].0 == t {
-            sum += events[i].1;
+            let (_, delta, opens) = events[i];
+            sum += delta;
+            if opens {
+                open += 1;
+            } else {
+                open -= 1;
+            }
             i += 1;
         }
-        // Guard tiny FP residue at the end of the sweep.
-        if sum.abs() <= residue {
+        // With no interval open the true sum is exactly zero: drop the
+        // cancellation residue so it never leaks into a later region. A
+        // magnitude cutoff instead would also zero small values that are
+        // open alongside much larger ones.
+        if open == 0 {
             sum = 0.0;
         }
         series.push(SimTime::from_secs(t), sum);
@@ -72,160 +75,6 @@ pub fn sweep(intervals: &[Interval]) -> StepSeries {
 /// waiting" (Sec. IV-C).
 pub fn max_region(intervals: &[Interval]) -> f64 {
     sweep(intervals).max_value()
-}
-
-/// Streaming form of [`sweep`]: a maintained sorted-edge structure that
-/// accepts closed phases *as they arrive* and serves the aggregated series
-/// from a cache invalidated on append.
-///
-/// [`IncrementalSweep::push`] is O(1): the interval's two edges land in an
-/// unsorted pending buffer (the simulation hot path pushes once per closed
-/// phase, so no per-event sorting or tail shifting happens there). A query
-/// sorts only the edges pushed since the previous query and merges them into
-/// the kept sorted `(time, delta)` list — O(p log p + n) for p pending
-/// edges — so repeated mid-run queries stay incremental instead of
-/// re-collecting everything. [`IncrementalSweep::series`] replays the exact
-/// accumulation loop of [`sweep`] over the merged edges — same edge order,
-/// same summation order, same relative residue guard — so its output is
-/// bit-identical to `sweep` over the same intervals (property-tested in
-/// this module and in `tests/`).
-#[derive(Clone, Debug, Default)]
-pub struct IncrementalSweep {
-    /// Edge list sorted by `(time, delta)` — removals before additions at
-    /// equal times, exactly like the oracle's sort.
-    events: Vec<(f64, f64)>,
-    /// Edges appended since the last merge, in push order.
-    pending: Vec<(f64, f64)>,
-    /// Resident merge output buffer, swapped with `events` at each merge.
-    scratch: Vec<(f64, f64)>,
-    /// Largest `|value|` ever pushed, including zero-length intervals (the
-    /// oracle computes its residue scale over *all* intervals).
-    max_abs: f64,
-    /// Intervals accepted so far (zero-length ones included).
-    n_intervals: usize,
-    /// Cached aggregation; `None` after an append.
-    cache: Option<StepSeries>,
-}
-
-impl IncrementalSweep {
-    /// An empty sweep.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty sweep pre-sized for `intervals` pushes.
-    pub fn with_capacity(intervals: usize) -> Self {
-        IncrementalSweep {
-            events: Vec::with_capacity(intervals * 2),
-            ..Self::default()
-        }
-    }
-
-    /// Number of intervals accepted so far.
-    pub fn len(&self) -> usize {
-        self.n_intervals
-    }
-
-    /// True when no interval has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.n_intervals == 0
-    }
-
-    /// Accepts one closed interval, invalidating the cached series.
-    pub fn push(&mut self, iv: Interval) {
-        assert!(
-            !iv.ts.is_nan() && !iv.te.is_nan() && !iv.value.is_nan(),
-            "interval must be NaN-free"
-        );
-        debug_assert!(iv.te >= iv.ts, "interval must not be reversed");
-        self.n_intervals += 1;
-        self.max_abs = self.max_abs.max(iv.value.abs());
-        if iv.te > iv.ts {
-            self.pending.push((iv.ts, iv.value));
-            self.pending.push((iv.te, -iv.value));
-        }
-        self.cache = None;
-    }
-
-    /// Sorts the pending edges and merges them into the kept sorted list.
-    ///
-    /// An unstable sort is fine: only fully-equal `(t, delta)` tuples can be
-    /// reordered by it, and identical tuples are interchangeable in the
-    /// accumulation. Ties across the two lists keep the older edge first,
-    /// matching what edge-by-edge sorted insertion would have produced.
-    fn merge_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.pending
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        out.reserve(self.events.len() + self.pending.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.events.len() && j < self.pending.len() {
-            let a = self.events[i];
-            let b = self.pending[j];
-            if a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)).is_le() {
-                out.push(a);
-                i += 1;
-            } else {
-                out.push(b);
-                j += 1;
-            }
-        }
-        out.extend_from_slice(&self.events[i..]);
-        out.extend_from_slice(&self.pending[j..]);
-        self.pending.clear();
-        self.scratch = std::mem::replace(&mut self.events, out);
-    }
-
-    /// The aggregated step series over everything pushed so far, rebuilt
-    /// from the maintained edges only when an append invalidated the cache.
-    pub fn series(&mut self) -> &StepSeries {
-        if self.cache.is_none() {
-            self.merge_pending();
-            self.cache = Some(self.rebuild());
-        }
-        self.cache.as_ref().invariant("cache just rebuilt")
-    }
-
-    /// `max_r` of the aggregated series (see [`max_region`]).
-    pub fn max_value(&mut self) -> f64 {
-        self.series().max_value()
-    }
-
-    /// Finalizes into the aggregated series.
-    pub fn into_series(mut self) -> StepSeries {
-        match self.cache.take() {
-            // A live cache implies no pending edges: every push clears it.
-            Some(s) => s,
-            None => {
-                self.merge_pending();
-                self.rebuild()
-            }
-        }
-    }
-
-    fn rebuild(&self) -> StepSeries {
-        // The oracle's accumulation loop, verbatim, over the kept edges.
-        let residue = 1e-9 * self.max_abs;
-        let mut series = StepSeries::new();
-        let mut sum = 0.0;
-        let mut i = 0;
-        while i < self.events.len() {
-            let t = self.events[i].0;
-            while i < self.events.len() && self.events[i].0 == t {
-                sum += self.events[i].1;
-                i += 1;
-            }
-            if sum.abs() <= residue {
-                sum = 0.0;
-            }
-            series.push(SimTime::from_secs(t), sum);
-        }
-        series
-    }
 }
 
 #[cfg(test)]
@@ -353,9 +202,8 @@ mod tests {
 
     #[test]
     fn tiny_magnitudes_survive_the_residue_guard() {
-        // Values far below the old absolute 1e-9 cutoff (e.g. normalized or
-        // per-byte metrics): the guard must scale with the input instead of
-        // zeroing the whole sweep.
+        // Values far below any absolute cutoff (e.g. normalized or per-byte
+        // metrics) must not be zeroed.
         let intervals = [
             Interval {
                 ts: 0.0,
@@ -379,7 +227,8 @@ mod tests {
     #[test]
     fn residue_guard_scales_with_magnitude() {
         // Large stacked values cancel with FP residue well above 1e-9
-        // absolute; the relative guard still snaps the tail to exactly zero.
+        // absolute; the tail is still exactly zero once every interval has
+        // closed.
         let mut intervals = Vec::new();
         for i in 0..10 {
             intervals.push(Interval {
@@ -390,6 +239,40 @@ mod tests {
         }
         let s = sweep(&intervals);
         assert_eq!(s.value_at(t(20.0)), 0.0, "tail must be exactly zero");
+    }
+
+    #[test]
+    fn small_value_beside_large_ones_survives() {
+        // A value below 1e-9 of the largest one stays in the sum after the
+        // large interval closes, and the tail returns to exactly zero. A
+        // zero-length interval's value does not scale anything.
+        let intervals = [
+            Interval {
+                ts: 0.0,
+                te: 2.0,
+                value: 1e10,
+            },
+            Interval {
+                ts: 1.0,
+                te: 3.0,
+                value: 5.0,
+            },
+            Interval {
+                ts: 4.0,
+                te: 4.0,
+                value: 1e18,
+            },
+            Interval {
+                ts: 5.0,
+                te: 6.0,
+                value: 7.5,
+            },
+        ];
+        let s = sweep(&intervals);
+        assert_eq!(s.value_at(t(2.5)), 5.0);
+        assert_eq!(s.value_at(t(3.5)), 0.0);
+        assert_eq!(s.value_at(t(5.5)), 7.5);
+        assert_eq!(s.value_at(t(7.0)), 0.0);
     }
 
     #[test]

@@ -39,12 +39,13 @@ pub struct Report {
     pub faults: Vec<FaultEventRecord>,
     /// Total retry backoff time across ranks, seconds (fault injection).
     pub retry_time: f64,
-    /// Cached `B_r` sweep (Eq. 3); seeded from the tracer's streaming sweep
-    /// or computed lazily on first query. Not serialized.
+    /// `B_r` sweep (Eq. 3) over `phases`, computed on first query. Not
+    /// serialized.
     pub(crate) required_cache: OnceLock<StepSeries>,
-    /// Cached `B_L` sweep. Not serialized.
+    /// `B_L` sweep over the limited `phases`, computed on first query. Not
+    /// serialized.
     pub(crate) limit_cache: OnceLock<StepSeries>,
-    /// Cached `T` sweep. Not serialized.
+    /// `T` sweep over `windows`, computed on first query. Not serialized.
     pub(crate) throughput_cache: OnceLock<StepSeries>,
     /// Cached time decomposition. Not serialized.
     pub(crate) decomposition_cache: OnceLock<Decomposition>,
@@ -99,8 +100,39 @@ impl Deserialize for Report {
                 }
             };
         }
-        Ok(report_fields!(de))
+        let report = report_fields!(de);
+        for (i, p) in report.phases.iter().enumerate() {
+            let limit = p.limit_during.unwrap_or(0.0);
+            check_interval("phase", i, p.ts, p.te, &[p.b_required, limit])?;
+        }
+        for (i, w) in report.windows.iter().enumerate() {
+            check_interval("window", i, w.start, w.end, &[w.bytes])?;
+        }
+        Ok(report)
     }
+}
+
+/// Rejects a trace interval the Eq. 3 sweep cannot take: a non-finite
+/// bound or value (JSON's `1e999` parses as infinity) or an end before the
+/// start.
+fn check_interval(
+    what: &str,
+    i: usize,
+    start: f64,
+    end: f64,
+    values: &[f64],
+) -> Result<(), serde::Error> {
+    if ![start, end].iter().chain(values).all(|x| x.is_finite()) {
+        return Err(serde::Error::custom(format!(
+            "{what} {i}: non-finite interval [{start}, {end}) or value {values:?}"
+        )));
+    }
+    if end < start {
+        return Err(serde::Error::custom(format!(
+            "{what} {i}: reversed interval [{start}, {end})"
+        )));
+    }
+    Ok(())
 }
 
 /// One observed fault event: a sub-request retry or a terminal op error.
@@ -197,24 +229,9 @@ impl Decomposition {
 }
 
 impl Report {
-    /// Seeds the series caches from the tracer's streaming sweeps so the
-    /// first post-run query is free. The incremental sweep is bit-identical
-    /// to the from-scratch oracle (property-tested in `regions`), so seeded
-    /// and lazily computed series agree exactly.
-    pub(crate) fn seed_series_caches(
-        &self,
-        required: StepSeries,
-        limit: StepSeries,
-        throughput: StepSeries,
-    ) {
-        let _ = self.required_cache.set(required);
-        let _ = self.limit_cache.set(limit);
-        let _ = self.throughput_cache.set(throughput);
-    }
-
     /// Application-level required-bandwidth series `B_r` (Eq. 3, Fig. 4):
     /// the sweep over every rank-phase `[ts, te)` carrying `B_{i,j}`.
-    /// Computed once and cached (or pre-seeded by the tracer).
+    /// Computed once and cached.
     pub fn required_series(&self) -> &StepSeries {
         self.required_cache.get_or_init(|| {
             let iv: Vec<Interval> = self
@@ -232,7 +249,7 @@ impl Report {
 
     /// Application-level limit series `B_L`: the sweep carrying each phase's
     /// in-effect limit (phases without a limit contribute nothing).
-    /// Computed once and cached (or pre-seeded by the tracer).
+    /// Computed once and cached.
     pub fn limit_series(&self) -> &StepSeries {
         self.limit_cache.get_or_init(|| {
             let iv: Vec<Interval> = self
@@ -251,8 +268,7 @@ impl Report {
     }
 
     /// Application-level throughput series `T`: the sweep over throughput
-    /// windows carrying `T_{i,j}`. Computed once and cached (or pre-seeded
-    /// by the tracer).
+    /// windows carrying `T_{i,j}`. Computed once and cached.
     pub fn throughput_series(&self) -> &StepSeries {
         self.throughput_cache.get_or_init(|| {
             let iv: Vec<Interval> = self
@@ -350,7 +366,9 @@ impl Report {
         serde_json::to_string_pretty(self).invariant("report serializes")
     }
 
-    /// Parses a JSON trace produced by [`Report::to_json`].
+    /// Parses a JSON trace produced by [`Report::to_json`]. A phase or
+    /// window that is reversed or has a non-finite time or value is an
+    /// error.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
     }
@@ -517,6 +535,40 @@ mod tests {
         let back = Report::from_json(&json).unwrap();
         assert_eq!(back.n_ranks, 2);
         assert_eq!(back.phases.len(), 2);
+        assert_eq!(back.required_bandwidth(), r.required_bandwidth());
+    }
+
+    #[test]
+    fn from_json_rejects_reversed_intervals() {
+        let mut r = sample_report();
+        r.phases[1].te = 0.5;
+        let err = Report::from_json(&r.to_json()).unwrap_err();
+        assert!(err.to_string().contains("phase 1: reversed"), "{err}");
+        let mut r = sample_report();
+        r.windows[0].end = -1.0;
+        let err = Report::from_json(&r.to_json()).unwrap_err();
+        assert!(err.to_string().contains("window 0: reversed"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_overflowing_time() {
+        let mut r = sample_report();
+        r.phases[0].te = 123.25;
+        let json = r.to_json();
+        assert_eq!(json.matches("123.25").count(), 1);
+        let err = Report::from_json(&json.replace("123.25", "1e999")).unwrap_err();
+        assert!(err.to_string().contains("phase 0: non-finite"), "{err}");
+    }
+
+    #[test]
+    fn from_json_accepts_zero_length_intervals() {
+        // A request waited on at its own submit time closes a zero-length
+        // phase; the trace stays valid.
+        let mut r = sample_report();
+        r.phases[0].te = r.phases[0].ts;
+        r.windows[0].end = r.windows[0].start;
+        let back = Report::from_json(&r.to_json()).unwrap();
+        assert_eq!(back.phases[0].te, back.phases[0].ts);
         assert_eq!(back.required_bandwidth(), r.required_bandwidth());
     }
 

@@ -26,17 +26,15 @@
 //!   peak number of outstanding requests;
 //! * closed phase/window/span/sync records land in structure-of-arrays
 //!   tables pre-sized with `with_capacity`, materialized into the report's
-//!   serialized row format only once at [`Tracer::into_report`];
-//! * the application-level Eq. 3 aggregates (`B_r`, `B_L`, `T`) are
-//!   maintained *online* by [`IncrementalSweep`]s fed at each closure, so
-//!   mid-run queries and the final report reuse the same sorted-edge
-//!   structure instead of re-collecting and re-sorting every interval.
+//!   serialized row format only once at [`Tracer::into_report`].
+//!
+//! The tracer records; it does not aggregate. The application-level Eq. 3
+//! series (`B_r`, `B_L`, `T`) are swept from the finished report's phase
+//! and window tables on first query (Sec. IV-C's offline analysis).
 
-use crate::regions::{IncrementalSweep, Interval};
 use crate::strategy::{Strategy, StrategyState};
 use mpisim::{Channel, IoHooks, Limits, ReqTag};
 use serde::{Deserialize, Serialize};
-use simcore::StepSeries;
 use simcore::{GenKey, GenSlab, SimTime};
 
 /// How per-request bandwidths combine into the rank metric `B_{i,j}`.
@@ -565,10 +563,6 @@ pub struct Tracer {
     windows: WindowTable,
     spans: SpanTable,
     syncs: SyncTable,
-    /// Streaming Eq. 3 aggregates, fed at every phase/window closure.
-    req_sweep: IncrementalSweep,
-    lim_sweep: IncrementalSweep,
-    thr_sweep: IncrementalSweep,
     /// Resident per-rank end times (the finalize gather's scratch).
     rank_end: Vec<f64>,
     faults: Vec<crate::report::FaultEventRecord>,
@@ -591,9 +585,6 @@ impl Tracer {
             windows: WindowTable::with_capacity(cap),
             spans: SpanTable::with_capacity(cap),
             syncs: SyncTable::with_capacity(n_ranks * 4),
-            req_sweep: IncrementalSweep::with_capacity(cap),
-            lim_sweep: IncrementalSweep::new(),
-            thr_sweep: IncrementalSweep::with_capacity(cap),
             rank_end: vec![0.0; n_ranks],
             faults: Vec::new(),
             retry_time: 0.0,
@@ -604,23 +595,6 @@ impl Tracer {
     /// The configured strategy.
     pub fn config(&self) -> &TracerConfig {
         &self.cfg
-    }
-
-    /// Live application-level required-bandwidth series `B_r` over the
-    /// phases closed *so far* (the online view of Eq. 3; the report serves
-    /// the same series after the run).
-    pub fn live_required_series(&mut self) -> &StepSeries {
-        self.req_sweep.series()
-    }
-
-    /// Live application-level limit series `B_L` (closed phases so far).
-    pub fn live_limit_series(&mut self) -> &StepSeries {
-        self.lim_sweep.series()
-    }
-
-    /// Live application-level throughput series `T` (closed windows so far).
-    pub fn live_throughput_series(&mut self) -> &StepSeries {
-        self.thr_sweep.series()
     }
 
     fn call_overhead(&mut self) -> f64 {
@@ -664,18 +638,6 @@ impl Tracer {
         rt.waited.clear();
         self.phases
             .push(rank, phase, ts, te_s, bytes, b, limit_during, limit_next, n);
-        self.req_sweep.push(Interval {
-            ts,
-            te: te_s,
-            value: b,
-        });
-        if let Some(l) = limit_during {
-            self.lim_sweep.push(Interval {
-                ts,
-                te: te_s,
-                value: l,
-            });
-        }
     }
 
     /// Finalizes and returns the report. `n_ranks` post-overhead is modeled
@@ -684,7 +646,7 @@ impl Tracer {
         let n_ranks = self.ranks.len();
         let peri_overhead = self.calls as f64 * self.cfg.peri_call_overhead;
         let post_overhead = self.cfg.post_model.overhead(n_ranks);
-        let report = crate::report::Report {
+        crate::report::Report {
             n_ranks,
             strategy_name: self.cfg.strategy.name().to_string(),
             phases: self.phases.materialize(),
@@ -701,17 +663,7 @@ impl Tracer {
             limit_cache: std::sync::OnceLock::new(),
             throughput_cache: std::sync::OnceLock::new(),
             decomposition_cache: std::sync::OnceLock::new(),
-        };
-        // Seed the report's series caches from the streaming sweeps: the
-        // incremental structure is bit-identical to the from-scratch oracle
-        // over the same closures (property-tested), so post-run queries skip
-        // the collect-and-sort entirely.
-        report.seed_series_caches(
-            self.req_sweep.into_series(),
-            self.lim_sweep.into_series(),
-            self.thr_sweep.into_series(),
-        );
-        report
+        }
     }
 }
 
@@ -763,13 +715,7 @@ impl IoHooks for Tracer {
         if rt.tq_outstanding == 0 {
             let start = rt.tq_start.as_secs();
             let end = t.as_secs();
-            let bytes = rt.tq_bytes;
-            self.windows.push(rank, start, end, bytes);
-            self.thr_sweep.push(Interval {
-                ts: start,
-                te: end,
-                value: bytes / (end - start).max(1e-12),
-            });
+            self.windows.push(rank, start, end, rt.tq_bytes);
         }
     }
 

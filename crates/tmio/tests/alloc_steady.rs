@@ -5,8 +5,8 @@
 //! phases per rank, one with `2N` — are executed through the full
 //! `World` + `Tracer` stack. If the hot loop allocated per event, the
 //! longer run would pay thousands of additional allocator calls (each extra
-//! phase produces a subrequest fan-out, PFS flow churn, queue events, tracer
-//! records, and sweep edges). The assertion pins the *difference* to a small
+//! phase produces a subrequest fan-out, PFS flow churn, queue events and
+//! tracer records). The assertion pins the *difference* to a small
 //! constant: the only growth allowed is the logarithmic tail of geometric
 //! `Vec`/heap doubling in the resident containers.
 //!
@@ -107,8 +107,8 @@ fn event_loop_is_allocation_free_in_steady_state() {
     let base = alloc_calls_for_run(200);
     let double = alloc_calls_for_run(400);
 
-    // 200 extra phases x 4 ranks x (8 subrequests + queue/tracer/sweep
-    // traffic) is tens of thousands of events. Per-event allocation of any
+    // 200 extra phases x 4 ranks x (8 subrequests + queue/tracer traffic)
+    // is tens of thousands of events. Per-event allocation of any
     // kind would show up here as thousands of calls; geometric container
     // growth contributes only a logarithmic handful.
     let delta = double.saturating_sub(base);

@@ -1,25 +1,76 @@
-//! Property-based equivalence of the streaming Eq. 3 sweep-line
-//! ([`tmio::IncrementalSweep`]) against the from-scratch oracle
-//! ([`tmio::sweep`]).
+//! Property tests of the Eq. 3 region sweep ([`tmio::sweep`]) against a
+//! direct evaluation of the equation.
 //!
-//! The incremental structure claims *bit-identical* output — same edge
-//! order, same summation order, same residue guard — so every comparison
-//! here is on the raw `f64` bit patterns of the series points, not on
-//! approximate equality. Interval sets include the degenerate shapes real
-//! runs produce: zero-length phases (a request waited on at its own submit
-//! time), zero-value phases (fault-degraded requests that moved no bytes),
-//! tiny normalized magnitudes, and heavy same-timestamp stacking.
+//! Eq. 3 defines the application-level metric at time `t` as the sum of
+//! `value` over the intervals with `ts ≤ t < te`. The oracle here evaluates
+//! that sum interval by interval at every edge time and at every midpoint
+//! between consecutive edges, which covers each region of the step series
+//! and each boundary between regions. Interval sets include the degenerate
+//! shapes real runs produce: zero-length phases (a request waited on at its
+//! own submit time), zero-value phases (fault-degraded requests that moved
+//! no bytes), tiny normalized magnitudes, and heavy same-timestamp stacking.
 
 use proptest::prelude::*;
-use simcore::StepSeries;
-use tmio::{sweep, IncrementalSweep, Interval};
+use simcore::{SimTime, StepSeries};
+use tmio::{sweep, Interval};
 
-/// Bitwise comparison of two step series.
+/// Bitwise form of a step series.
 fn bits(s: &StepSeries) -> Vec<(u64, u64)> {
     s.points()
         .iter()
         .map(|&(t, v)| (t.to_bits(), v.to_bits()))
         .collect()
+}
+
+/// Eq. 3 evaluated directly at `t`.
+fn eq3_at(ivs: &[Interval], t: f64) -> f64 {
+    ivs.iter()
+        .filter(|iv| iv.ts <= t && t < iv.te)
+        .map(|iv| iv.value)
+        .sum()
+}
+
+/// Every edge time and every midpoint between consecutive distinct edges.
+fn probe_times(ivs: &[Interval]) -> Vec<f64> {
+    let mut edges: Vec<f64> = ivs.iter().flat_map(|iv| [iv.ts, iv.te]).collect();
+    edges.sort_by(f64::total_cmp);
+    edges.dedup();
+    let mids: Vec<f64> = edges.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect();
+    edges.extend(mids);
+    edges
+}
+
+/// Checks `sweep(ivs)` against [`eq3_at`] at every probe time, within
+/// `1e-9 · max|value|` (the two sum in different orders).
+fn check_against_eq3(ivs: &[Interval]) {
+    let series = sweep(ivs);
+    let max_abs = ivs.iter().map(|iv| iv.value.abs()).fold(0.0, f64::max);
+    let tol = 1e-9 * max_abs;
+    for t in probe_times(ivs) {
+        let got = series.value_at(SimTime::from_secs(t));
+        let want = eq3_at(ivs, t);
+        prop_assert!(
+            (got - want).abs() <= tol,
+            "t={t}: sweep {got} vs Eq. 3 {want} (tol {tol})"
+        );
+    }
+}
+
+/// A deterministic permutation of `ivs` drawn from `seed` (splitmix64 keys).
+fn shuffled(ivs: &[Interval], seed: u64) -> Vec<Interval> {
+    let key = |i: usize| {
+        let mut z = seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut keyed: Vec<(u64, Interval)> = ivs
+        .iter()
+        .enumerate()
+        .map(|(i, iv)| (key(i), *iv))
+        .collect();
+    keyed.sort_by_key(|&(k, _)| k);
+    keyed.into_iter().map(|(_, iv)| iv).collect()
 }
 
 fn arb_interval() -> impl Strategy<Value = Interval> {
@@ -28,7 +79,7 @@ fn arb_interval() -> impl Strategy<Value = Interval> {
         // Durations: zero-length phases must flow through unharmed.
         prop_oneof![Just(0.0f64), 0.0f64..5.0, Just(1.0f64)],
         // Values: fault-degraded zeros, tiny normalized magnitudes, and
-        // bandwidth-scale numbers that stress the residue guard.
+        // bandwidth-scale numbers whose cancellation leaves FP residue.
         prop_oneof![Just(0.0f64), 1e-12f64..1e-9, 0.5f64..100.0, 1e8f64..1e10],
     )
         .prop_map(|(ts, dur, value)| Interval {
@@ -41,68 +92,39 @@ fn arb_interval() -> impl Strategy<Value = Interval> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Pushing intervals in arrival order yields the oracle's series,
-    /// bit for bit.
+    /// The sweep equals Eq. 3 at every edge and every region midpoint.
     #[test]
-    fn incremental_matches_scratch(ivs in prop::collection::vec(arb_interval(), 0..60)) {
-        let oracle = sweep(&ivs);
-        let mut inc = IncrementalSweep::new();
-        for iv in &ivs {
-            inc.push(*iv);
-        }
-        prop_assert_eq!(bits(inc.series()), bits(&oracle));
-        prop_assert_eq!(inc.max_value().to_bits(), oracle.max_value().to_bits());
-        prop_assert_eq!(inc.len(), ivs.len());
-        prop_assert_eq!(bits(&inc.into_series()), bits(&oracle));
+    fn sweep_matches_direct_eq3(ivs in prop::collection::vec(arb_interval(), 0..60)) {
+        check_against_eq3(&ivs);
     }
 
-    /// Arrival order is irrelevant: reversed feeding still matches the
-    /// oracle over the original set.
+    /// Input order is irrelevant: reversed and shuffled inputs give the
+    /// same series, bit for bit.
     #[test]
-    fn arrival_order_is_irrelevant(ivs in prop::collection::vec(arb_interval(), 0..60)) {
-        let oracle = sweep(&ivs);
-        let mut inc = IncrementalSweep::with_capacity(ivs.len());
-        for iv in ivs.iter().rev() {
-            inc.push(*iv);
-        }
-        prop_assert_eq!(bits(inc.series()), bits(&oracle));
-    }
-
-    /// Querying between pushes (forcing rebuilds of the invalidated cache)
-    /// never perturbs later results, and every mid-run answer equals the
-    /// oracle over the prefix pushed so far.
-    #[test]
-    fn interleaved_queries_match_prefix_oracles(
-        ivs in prop::collection::vec(arb_interval(), 1..30),
+    fn input_order_is_irrelevant(
+        ivs in prop::collection::vec(arb_interval(), 0..60),
+        seed in any::<u64>(),
     ) {
-        let mut inc = IncrementalSweep::new();
-        for (i, iv) in ivs.iter().enumerate() {
-            inc.push(*iv);
-            let prefix_oracle = sweep(&ivs[..=i]);
-            prop_assert_eq!(bits(inc.series()), bits(&prefix_oracle));
-        }
+        let want = bits(&sweep(&ivs));
+        let reversed: Vec<Interval> = ivs.iter().rev().copied().collect();
+        prop_assert_eq!(bits(&sweep(&reversed)), want.clone());
+        prop_assert_eq!(bits(&sweep(&shuffled(&ivs, seed))), want);
     }
 
     /// Same-timestamp stacking (many identical phases, the collective-I/O
-    /// shape) collapses to one change point per boundary in both paths.
+    /// shape) collapses to one change point per boundary.
     #[test]
     fn identical_stacked_intervals(n in 1usize..40, value in 0.5f64..1e6) {
-        let iv = Interval { ts: 1.0, te: 2.0, value };
-        let ivs = vec![iv; n];
-        let oracle = sweep(&ivs);
-        let mut inc = IncrementalSweep::new();
-        for iv in &ivs {
-            inc.push(*iv);
-        }
-        prop_assert_eq!(bits(inc.series()), bits(&oracle));
+        let ivs = vec![Interval { ts: 1.0, te: 2.0, value }; n];
+        check_against_eq3(&ivs);
+        prop_assert_eq!(sweep(&ivs).len(), 2);
     }
 }
 
-/// Zero-length and zero-value phases contribute nothing to the series but
-/// still count toward the residue scale and the accepted-interval count,
-/// exactly as the oracle computes them.
+/// Zero-length and zero-value phases contribute nothing to the series,
+/// and a huge zero-length value does not wipe out a small open one.
 #[test]
-fn degenerate_phases_match_oracle() {
+fn degenerate_phases_match_eq3() {
     let ivs = [
         Interval {
             ts: 1.0,
@@ -120,12 +142,6 @@ fn degenerate_phases_match_oracle() {
             value: 7.5,
         },
     ];
-    let oracle = sweep(&ivs);
-    let mut inc = IncrementalSweep::new();
-    for iv in &ivs {
-        inc.push(*iv);
-    }
-    assert_eq!(bits(inc.series()), bits(&oracle));
-    assert_eq!(inc.len(), 3);
-    assert!(!inc.is_empty());
+    check_against_eq3(&ivs);
+    assert_eq!(sweep(&ivs).points(), &[(2.0, 7.5), (3.0, 0.0)]);
 }
