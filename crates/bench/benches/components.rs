@@ -33,23 +33,20 @@ fn bench_water_fill(c: &mut Criterion) {
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
-    // Steady-state churn at a fixed pending-set size: schedule, occasionally
-    // cancel, pop — the interpreter's inner-loop mix.
+    // Steady-state churn at a fixed pending-set size: schedule, re-arm the
+    // alarm on every 4th event, pop — the interpreter's inner-loop mix.
     g.bench_function("churn_64pending_10k", |b| {
         b.iter(|| {
             let mut q = EventQueue::with_capacity(128);
             let mut t = 0.0f64;
-            let mut held = Vec::with_capacity(16);
             for i in 0..10_000u32 {
                 t += 0.001;
-                let k = q.schedule(SimTime::from_secs(t), i);
+                let at = SimTime::from_secs(t);
+                q.schedule(at, i);
                 if i % 4 == 0 {
-                    held.push(k);
+                    q.set_alarm(at, i);
                 }
                 if q.len() >= 64 {
-                    if let Some(k) = held.pop() {
-                        q.cancel(k);
-                    }
                     black_box(q.pop());
                 }
             }
@@ -57,7 +54,7 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(q.now())
         })
     });
-    // Pure ordered drain: heap throughput without cancellation noise.
+    // Pure ordered drain: heap throughput alone.
     g.bench_function("fill_then_drain_10k", |b| {
         b.iter(|| {
             let mut q = EventQueue::with_capacity(10_000);

@@ -144,23 +144,22 @@ fn gate_pfs_burst() -> f64 {
         / flows as f64
 }
 
-/// ns/event for schedule→(cancel 1/4)→pop churn on the slot-map event queue.
+/// ns/event for schedule→pop churn on the event queue at a 64-event pending
+/// set, re-arming the queue's alarm on every 4th event (the engine's PFS
+/// wake pattern).
 fn gate_queue_churn() -> f64 {
     let events = 200_000usize;
     best_secs(3, || {
         let mut q = EventQueue::with_capacity(1024);
         let mut t = 0.0f64;
-        let mut pending = Vec::with_capacity(64);
         for i in 0..events {
             t += 0.001;
-            let k = q.schedule(SimTime::from_secs(t), i);
+            let at = SimTime::from_secs(t);
+            q.schedule(at, i);
             if i % 4 == 0 {
-                pending.push(k);
+                q.set_alarm(at, i);
             }
             if q.len() >= 64 {
-                if let Some(k) = pending.pop() {
-                    q.cancel(k);
-                }
                 black_box(q.pop());
             }
         }

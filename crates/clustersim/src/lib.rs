@@ -18,7 +18,7 @@
 
 use pfsim::{Channel, FlowId, FlowSpec, MeterId, Pfs, PfsConfig};
 use serde::{Deserialize, Serialize};
-use simcore::{EventKey, EventQueue, Invariant, SimTime, StepSeries};
+use simcore::{EventQueue, Invariant, SimTime, StepSeries};
 use std::collections::HashMap;
 
 /// Node-allocation policy.
@@ -227,7 +227,6 @@ pub struct Cluster {
     cfg: ClusterConfig,
     queue: EventQueue<Event>,
     pfs: Pfs,
-    pfs_wake: Option<EventKey>,
     jobs: Vec<Job>,
     flow_job: HashMap<FlowId, usize>,
     free_nodes: usize,
@@ -268,7 +267,6 @@ impl Cluster {
             cfg,
             queue,
             pfs,
-            pfs_wake: None,
             jobs,
             flow_job: HashMap::new(),
             free_nodes,
@@ -286,7 +284,6 @@ impl Cluster {
                 Event::Arrive(_) => self.try_schedule(),
                 Event::ComputeDone(i) => self.advance_job(i),
                 Event::PfsWake => {
-                    self.pfs_wake = None;
                     self.drain_pfs();
                     self.resync_pfs();
                 }
@@ -535,13 +532,14 @@ impl Cluster {
         }
     }
 
+    /// Re-arms the PFS wake (the queue's alarm) at the next completion.
     fn resync_pfs(&mut self) {
-        if let Some(k) = self.pfs_wake.take() {
-            self.queue.cancel(k);
-        }
-        if let Some(t) = self.pfs.next_completion() {
-            let t = t.max(self.queue.now());
-            self.pfs_wake = Some(self.queue.schedule(t, Event::PfsWake));
+        match self.pfs.next_completion() {
+            Some(t) => {
+                let t = t.max(self.queue.now());
+                self.queue.set_alarm(t, Event::PfsWake);
+            }
+            None => self.queue.clear_alarm(),
         }
     }
 

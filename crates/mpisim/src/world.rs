@@ -21,8 +21,8 @@ use crate::ops::{FileId, Op, Program, ReqTag};
 use crate::seqmap::SeqMap;
 use pfsim::{BurstBuffer, BurstBufferConfig, Channel, FlowId, FlowSpec, Pfs, PfsConfig};
 use simcore::{
-    rank_phase_stream, stream_rng, EventKey, EventQueue, FaultPlan, Invariant, IoErrorKind, Noise,
-    SimError, SimResult, SimTime, StallSnapshot, StepSeries,
+    rank_phase_stream, stream_rng, EventQueue, FaultPlan, Invariant, IoErrorKind, Noise, SimError,
+    SimResult, SimTime, StallSnapshot, StepSeries,
 };
 use std::collections::HashMap;
 
@@ -270,14 +270,29 @@ pub struct ScriptedDriver {
 
 impl ScriptedDriver {
     /// Creates a driver; one program per rank.
+    ///
+    /// # Panics
+    /// If a program fails [`Program::validate`];
+    /// [`ScriptedDriver::try_new`] returns the error instead.
     pub fn new(programs: Vec<Program>) -> Self {
-        for (i, p) in programs.iter().enumerate() {
-            if let Err(e) = p.validate() {
-                panic!("rank {i} program invalid: {e}");
+        match Self::try_new(programs) {
+            Ok(driver) => driver,
+            Err(SimError::InvalidProgram { rank, reason }) => {
+                panic!("rank {rank} program invalid: {reason}")
             }
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Creates a driver, rejecting the first program that fails
+    /// [`Program::validate`] as [`SimError::InvalidProgram`].
+    pub fn try_new(programs: Vec<Program>) -> SimResult<Self> {
+        for (rank, p) in programs.iter().enumerate() {
+            p.validate()
+                .map_err(|reason| SimError::invalid_program(rank, reason))?;
         }
         let pcs = vec![0; programs.len()];
-        ScriptedDriver { programs, pcs }
+        Ok(ScriptedDriver { programs, pcs })
     }
 }
 
@@ -518,7 +533,6 @@ pub struct World<H: IoHooks> {
     cfg: WorldConfig,
     queue: EventQueue<Event>,
     pfs: Pfs,
-    pfs_wake: Option<EventKey>,
     ranks: Vec<RankState>,
     limits: Limits,
     hooks: H,
@@ -567,14 +581,14 @@ impl<H: IoHooks> World<H> {
         };
         let ranks = (0..cfg.n_ranks).map(|_| RankState::new()).collect();
         let live_ranks = cfg.n_ranks;
-        // Pending events peak around one per rank (compute wake or I/O step)
-        // plus the PFS wake; pre-size to skip heap regrowth.
+        // Pending events peak around one per rank (compute wake or I/O step);
+        // the PFS wake is the alarm, outside the heap. Pre-size to skip heap
+        // regrowth.
         let queue = EventQueue::with_capacity(cfg.n_ranks * 2 + 8);
         World {
             cfg,
             queue,
             pfs,
-            pfs_wake: None,
             ranks,
             limits,
             hooks,
@@ -707,9 +721,9 @@ impl<H: IoHooks> World<H> {
             // one heap pop streak instead of pop/handle interleaving, so
             // synchronized rank wakes (the common case in bulk-synchronous
             // phases) avoid re-probing the heap top between handlers.
-            // `PfsWake` is excluded — it is the one cancellable event, and
-            // a pre-popped copy would dodge the queue's lazy deletion when
-            // a handler in the same batch cancels it via `resync_pfs`.
+            // `PfsWake` is excluded — it is the queue's alarm, and a handler
+            // in the same batch may re-time or clear it via `resync_pfs`,
+            // which a pre-popped copy would not see.
             let mut batch = std::mem::take(&mut self.batch);
             batch.clear();
             batch.push(ev);
@@ -824,7 +838,6 @@ impl<H: IoHooks> World<H> {
                 self.step_rank(rank);
             }
             Event::PfsWake => {
-                self.pfs_wake = None;
                 self.drain_pfs();
                 self.resync_pfs();
             }
@@ -940,15 +953,15 @@ impl<H: IoHooks> World<H> {
         self.pfs_done = done;
     }
 
-    /// Re-schedules the single PFS wake event at the next completion time.
+    /// Re-arms the queue's alarm, the single PFS wake, at the next
+    /// completion time (or clears it when no flow is live).
     fn resync_pfs(&mut self) {
-        let target = self.pfs.next_completion();
-        if let Some(key) = self.pfs_wake.take() {
-            self.queue.cancel(key);
-        }
-        if let Some(t) = target {
-            let t = t.max(self.queue.now());
-            self.pfs_wake = Some(self.queue.schedule(t, Event::PfsWake));
+        match self.pfs.next_completion() {
+            Some(t) => {
+                let t = t.max(self.queue.now());
+                self.queue.set_alarm(t, Event::PfsWake);
+            }
+            None => self.queue.clear_alarm(),
         }
     }
 

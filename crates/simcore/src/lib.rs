@@ -4,9 +4,9 @@
 //!
 //! * [`SimTime`] — NaN-free virtual time in seconds,
 //! * [`EventQueue`] — deterministic time-ordered event queue with FIFO
-//!   tie-breaking and O(1) cancellation,
-//! * [`GenSlab`] — the queue's generation-stamped slot-arena bookkeeping as
-//!   a reusable container (hash-free hot-path id maps),
+//!   tie-breaking and one re-armable alarm,
+//! * [`GenSlab`] — a generation-stamped slot arena (hash-free hot-path id
+//!   maps),
 //! * [`stream_rng`] / [`Noise`] — reproducible per-stream randomness,
 //! * [`StepSeries`] — step-function time series for bandwidth plots,
 //! * [`stats`] — small numeric helpers for reports.
@@ -35,7 +35,7 @@ pub use fault::{
     CancelSpec, ChannelFaultWindow, FaultChannel, FaultPlan, IoErrorKind, IoErrorModel,
     RetryPolicy, StragglerSpec,
 };
-pub use queue::{EventKey, EventQueue};
+pub use queue::EventQueue;
 pub use rng::{rank_phase_stream, stream_rng, Noise};
 pub use series::StepSeries;
 pub use slab::{GenKey, GenSlab};

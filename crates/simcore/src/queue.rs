@@ -4,54 +4,38 @@
 //! events scheduled for the same instant pop in the order they were pushed,
 //! which keeps simulations deterministic regardless of heap internals.
 //!
-//! Cancellation is supported through [`EventKey`] tokens: `cancel` is O(1)
-//! (lazy deletion; cancelled entries are skipped on pop).
+//! Besides the heap, the queue holds at most one **alarm**: an event that
+//! the engine re-times far more often than it delivers (the PFS wake, moved
+//! on every bandwidth change). [`EventQueue::set_alarm`] replaces it in
+//! place instead of leaving a dead heap entry behind, and takes the next
+//! sequence number exactly as [`EventQueue::schedule`] would, so the alarm
+//! pops in the same `(time, seq)` order as a scheduled event.
 //!
-//! Bookkeeping is a generation-stamped slot map rather than hash sets: every
-//! scheduled event borrows a slot (recycled through a free list), and the
-//! [`EventKey`] packs `(slot, generation)`. Cancel and pop are then plain
-//! array probes with no hashing, and memory is bounded by the peak number of
-//! concurrently pending events instead of growing with total events ever
-//! scheduled.
+//! Each heap entry carries one precomputed integer key, the bits of its
+//! time above its sequence number. Times are never negative (the clock
+//! starts at zero and only moves forward), and for non-negative `f64`s the
+//! bit pattern orders like the value once `-0.0` is folded into `0.0`, so
+//! a sift compares integers only.
 
-use crate::error::Invariant;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Token identifying a scheduled event, usable to cancel it.
-///
-/// Packs `(slot, generation)`; a key is invalidated as soon as its event is
-/// delivered or cancelled, even if the slot is later recycled.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventKey(u64);
-
-impl EventKey {
-    fn new(slot: u32, gen: u32) -> Self {
-        EventKey((slot as u64) | ((gen as u64) << 32))
-    }
-
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
+struct Entry<E> {
+    /// `time.to_bits() << 64 | seq`: earliest time first, then FIFO.
+    key: u128,
+    payload: E,
 }
 
-struct Entry<E> {
-    time: SimTime,
-    /// Monotonic tie-breaker: FIFO among same-time events.
-    seq: u64,
-    slot: u32,
-    gen: u32,
-    payload: E,
+impl<E> Entry<E> {
+    fn time(&self) -> SimTime {
+        SimTime::from_secs(f64::from_bits((self.key >> 64) as u64))
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -62,31 +46,17 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest time (then lowest seq)
-        // is popped first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // BinaryHeap is a max-heap; invert so the smallest key pops first.
+        other.key.cmp(&self.key)
     }
-}
-
-/// Per-slot state. `pending` is true while the event scheduled under the
-/// current generation has been neither popped nor cancelled.
-#[derive(Clone, Copy)]
-struct Slot {
-    gen: u32,
-    pending: bool,
 }
 
 /// A deterministic time-ordered event queue.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// The one re-armable event, kept out of the heap.
+    alarm: Option<Entry<E>>,
     next_seq: u64,
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    /// Scheduled, not yet popped, not cancelled.
-    live: usize,
     now: SimTime,
 }
 
@@ -107,10 +77,8 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            alarm: None,
             next_seq: 0,
-            slots: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity),
-            live: 0,
             now: SimTime::ZERO,
         }
     }
@@ -120,11 +88,8 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedules `payload` at absolute time `time`.
-    ///
-    /// Panics if `time` is in the past (before the last popped event): a DES
-    /// must never travel backwards.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventKey {
+    /// The entry for an event at `time`, keyed with the next sequence number.
+    fn entry(&mut self, time: SimTime, payload: E) -> Entry<E> {
         assert!(
             time >= self.now,
             "cannot schedule event in the past: {:?} < {:?}",
@@ -133,106 +98,81 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                // Recycled slot: bump the generation so stale keys (and stale
-                // heap entries from a cancelled predecessor) no longer match.
-                let s = &mut self.slots[slot as usize];
-                s.gen = s.gen.wrapping_add(1);
-                s.pending = true;
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).invariant("slot count fits in u32");
-                self.slots.push(Slot {
-                    gen: 0,
-                    pending: true,
-                });
-                slot
-            }
-        };
-        let gen = self.slots[slot as usize].gen;
-        self.live += 1;
-        self.heap.push(Entry {
-            time,
-            seq,
-            slot,
-            gen,
+        // `+ 0.0` folds -0.0 into 0.0; every other time is positive here.
+        let bits = (time.as_secs() + 0.0).to_bits();
+        Entry {
+            key: ((bits as u128) << 64) | seq as u128,
             payload,
-        });
-        EventKey::new(slot, gen)
+        }
+    }
+
+    /// Schedules `payload` at absolute time `time`.
+    ///
+    /// Panics if `time` is in the past (before the last popped event): a DES
+    /// must never travel backwards.
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
+        let entry = self.entry(time, payload);
+        self.heap.push(entry);
     }
 
     /// Schedules `payload` after `delay` seconds from now.
-    pub fn schedule_in(&mut self, delay: f64, payload: E) -> EventKey {
+    pub fn schedule_in(&mut self, delay: f64, payload: E) {
         let t = self.now.after(delay);
         self.schedule(t, payload)
     }
 
-    /// Cancels a previously scheduled event. Returns `true` if the event was
-    /// still pending (i.e. not yet popped or cancelled); cancelling an
-    /// already-delivered or already-cancelled event is a no-op returning
-    /// `false`.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        match self.slots.get_mut(key.slot() as usize) {
-            Some(s) if s.gen == key.gen() && s.pending => {
-                s.pending = false;
-                self.live -= 1;
-                // The physical heap entry stays behind (lazy deletion) but its
-                // generation no longer matches once the slot is recycled; the
-                // `pending` flag covers the window before recycling.
-                self.free.push(key.slot());
-                true
-            }
-            _ => false,
+    /// Arms the alarm at `time`, replacing any pending alarm. The alarm
+    /// takes the next sequence number, so it orders among same-instant
+    /// events exactly as a fresh [`EventQueue::schedule`] would.
+    ///
+    /// Panics if `time` is in the past, like `schedule`.
+    pub fn set_alarm(&mut self, time: SimTime, payload: E) {
+        self.alarm = Some(self.entry(time, payload));
+    }
+
+    /// Drops the pending alarm, if any.
+    pub fn clear_alarm(&mut self) {
+        self.alarm = None;
+    }
+
+    /// True if the alarm is pending and precedes every heap entry.
+    fn alarm_is_next(&self) -> bool {
+        match (&self.alarm, self.heap.peek()) {
+            (Some(a), Some(top)) => a.key < top.key,
+            (alarm, _) => alarm.is_some(),
         }
     }
 
-    /// Pops the next live event, advancing the clock to its timestamp.
+    /// Pops the next event (the alarm or the heap top), advancing the clock
+    /// to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            let s = &mut self.slots[entry.slot as usize];
-            if s.gen != entry.gen || !s.pending {
-                // Cancelled (and possibly recycled since): discard.
-                continue;
-            }
-            debug_assert!(entry.time >= self.now);
-            s.pending = false;
-            self.free.push(entry.slot);
-            self.live -= 1;
-            self.now = entry.time;
-            return Some((entry.time, entry.payload));
-        }
-        None
+        let entry = if self.alarm_is_next() {
+            self.alarm.take()
+        } else {
+            self.heap.pop()
+        }?;
+        let time = entry.time();
+        debug_assert!(time >= self.now);
+        self.now = time;
+        Some((time, entry.payload))
     }
 
-    /// The next live event — timestamp and payload — without popping it.
-    /// Cancelled entries encountered on the way are discarded, exactly as
-    /// [`EventQueue::pop`] would.
-    pub fn peek(&mut self) -> Option<(SimTime, &E)> {
-        // peek_time purges the stale prefix, so the heap top is live.
-        self.peek_time()?;
-        self.heap.peek().map(|e| (e.time, &e.payload))
+    /// The next event — timestamp and payload — without popping it.
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        let entry = if self.alarm_is_next() {
+            self.alarm.as_ref()
+        } else {
+            self.heap.peek()
+        }?;
+        Some((entry.time(), &entry.payload))
     }
 
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            let s = &self.slots[entry.slot as usize];
-            if s.gen == entry.gen && s.pending {
-                return Some(entry.time);
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events, the alarm included.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len() + usize::from(self.alarm.is_some())
     }
 
-    /// True if no live events remain.
+    /// True if no events remain.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -279,27 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_event() {
-        let mut q = EventQueue::new();
-        let k = q.schedule(t(1.0), "dead");
-        q.schedule(t(2.0), "alive");
-        assert!(q.cancel(k));
-        assert!(!q.cancel(k), "double cancel reports false");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "alive");
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let k = q.schedule(t(1.0), 1);
-        q.schedule(t(2.0), 2);
-        q.cancel(k);
-        assert_eq!(q.peek_time(), Some(t(2.0)));
-        assert_eq!(q.pop().unwrap().1, 2);
-    }
-
-    #[test]
     fn schedule_in_is_relative() {
         let mut q = EventQueue::new();
         q.schedule(t(1.0), "first");
@@ -309,71 +228,70 @@ mod tests {
         assert!((time.as_secs() - 1.5).abs() < 1e-12);
     }
 
-    /// Regression (found by proptest): cancelling an event that was already
-    /// popped must be a no-op — it used to corrupt `len()` via a stale
-    /// lazy-deletion entry.
     #[test]
-    fn cancel_after_pop_is_noop() {
+    fn second_alarm_replaces_the_first() {
         let mut q = EventQueue::new();
-        let k = q.schedule(t(1.0), "x");
-        q.schedule(t(2.0), "y");
-        assert_eq!(q.pop().unwrap().1, "x");
-        assert!(!q.cancel(k), "event already delivered");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "y");
-        assert_eq!(q.len(), 0);
-    }
-
-    /// A key must stay dead after its slot is recycled by a later event:
-    /// cancelling it again must not disturb the new occupant.
-    #[test]
-    fn stale_key_does_not_cancel_recycled_slot() {
-        let mut q = EventQueue::new();
-        let k1 = q.schedule(t(1.0), "a");
-        assert!(q.cancel(k1));
-        // Reuses k1's slot under a new generation.
-        let k2 = q.schedule(t(2.0), "b");
-        assert!(!q.cancel(k1), "stale key must not hit the recycled slot");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert!(!q.cancel(k2), "already delivered");
-        assert!(q.is_empty());
-    }
-
-    /// Cancel + reschedule at the same time leaves a stale physical entry
-    /// alongside the live one; the stale entry must be skipped even though it
-    /// references the same slot.
-    #[test]
-    fn stale_heap_entry_on_recycled_slot_is_skipped() {
-        let mut q = EventQueue::new();
-        let k = q.schedule(t(1.0), "old");
-        q.cancel(k);
-        q.schedule(t(1.0), "new");
-        assert_eq!(q.peek_time(), Some(t(1.0)));
-        assert_eq!(q.pop().unwrap().1, "new");
+        q.set_alarm(t(1.0), "old");
+        q.set_alarm(t(3.0), "new");
+        q.schedule(t(2.0), "event");
+        assert_eq!(q.pop().unwrap().1, "event");
+        assert_eq!(q.pop(), Some((t(3.0), "new")));
         assert!(q.pop().is_none());
-        assert!(q.is_empty());
     }
 
-    /// Slots are recycled: heavy churn must not grow bookkeeping beyond the
-    /// peak number of concurrently pending events.
     #[test]
-    fn slot_recycling_bounds_bookkeeping() {
+    fn clear_alarm_empties_it() {
         let mut q = EventQueue::new();
-        for i in 0..10_000 {
-            let k = q.schedule(t(i as f64 + 1.0), i);
-            if i % 2 == 0 {
-                q.cancel(k);
-            } else {
-                q.pop();
-            }
-        }
+        q.set_alarm(t(1.0), "alarm");
+        q.clear_alarm();
         assert!(q.is_empty());
-        assert!(
-            q.slots.len() <= 2,
-            "churn leaked {} slots (expected peak-bounded)",
-            q.slots.len()
-        );
+        assert!(q.peek().is_none());
+        assert!(q.pop().is_none());
+        q.clear_alarm();
+        assert!(q.is_empty(), "clearing no alarm is a no-op");
+    }
+
+    /// The alarm's sequence number is taken when it is set, so it sorts
+    /// among same-instant events by when it was armed.
+    #[test]
+    fn same_instant_alarm_orders_by_when_it_was_set() {
+        let mut q = EventQueue::new();
+        q.schedule(t(1.0), "before");
+        q.set_alarm(t(1.0), "alarm");
+        q.schedule(t(1.0), "after");
+        assert_eq!(q.peek(), Some((t(1.0), &"before")));
+        assert_eq!(q.pop().unwrap().1, "before");
+        assert_eq!(q.peek(), Some((t(1.0), &"alarm")));
+        assert_eq!(q.pop().unwrap().1, "alarm");
+        assert_eq!(q.pop().unwrap().1, "after");
+    }
+
+    #[test]
+    fn len_counts_the_alarm() {
+        let mut q = EventQueue::new();
+        q.schedule(t(1.0), 0);
+        q.set_alarm(t(2.0), 1);
+        assert_eq!(q.len(), 2);
+        q.set_alarm(t(0.5), 2);
+        assert_eq!(q.len(), 2, "re-arming does not add an event");
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.len(), 1);
+        q.clear_alarm();
+        assert_eq!(q.len(), 1, "the popped alarm is already gone");
+    }
+
+    /// `-0.0` and `0.0` are the same instant: they order by sequence
+    /// number alone, alarm or not.
+    #[test]
+    fn signed_zeros_order_by_seq_alone() {
+        let mut q = EventQueue::new();
+        q.schedule(t(0.0), "a");
+        q.schedule(t(-0.0), "b");
+        q.set_alarm(t(-0.0), "c");
+        q.schedule(t(0.0), "d");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["a", "b", "c", "d"]);
+        assert_eq!(q.now(), SimTime::ZERO);
     }
 
     #[test]
@@ -383,5 +301,14 @@ mod tests {
         q.schedule(t(2.0), ());
         q.pop();
         q.schedule(t(1.0), ());
+    }
+
+    #[test]
+    #[should_panic(expected = "in the past")]
+    fn alarm_in_the_past_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(t(2.0), ());
+        q.pop();
+        q.set_alarm(t(1.0), ());
     }
 }

@@ -177,3 +177,50 @@ fn missing_workload_is_a_typed_error() {
     };
     assert!(err.to_string().contains("no workload attached"), "{err}");
 }
+
+/// A program that fails `Program::validate` passes `try_build` (programs
+/// are emitted at run time) and comes back from `try_run` as a typed error
+/// naming the rank, not as a panic.
+#[test]
+fn invalid_program_is_a_typed_run_error() {
+    let program = Program::from_ops(vec![Op::Wait {
+        tag: mpisim::ReqTag(7),
+    }]);
+    let session = Session::builder(ExpConfig::new(1, Strategy::None))
+        .workload(RawWorkload::new("orphan-wait", vec![program], vec!["f"]))
+        .try_build()
+        .expect("the config is valid");
+    match session.try_run() {
+        Err(SimError::InvalidProgram { rank, reason }) => {
+            assert_eq!(rank, 0);
+            assert!(reason.contains("no submit"), "{reason}");
+        }
+        other => panic!("expected InvalidProgram, got {:?}", other.map(|_| ())),
+    }
+}
+
+/// A raw workload with fewer programs than ranks is a typed config error
+/// on `workload` at run time.
+#[test]
+fn program_count_mismatch_is_a_typed_run_error() {
+    let session = try_build(ExpConfig::new(2, Strategy::None)).expect("the config is valid");
+    match session.try_run() {
+        Err(SimError::InvalidConfig { field, reason }) => {
+            assert_eq!(field, "workload");
+            assert!(
+                reason.contains("1 programs") && reason.contains("2 ranks"),
+                "{reason}"
+            );
+        }
+        other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+    }
+}
+
+#[test]
+fn valid_raw_workload_runs() {
+    let out = try_build(ExpConfig::new(1, Strategy::None))
+        .expect("the config is valid")
+        .try_run()
+        .expect("a valid raw workload runs");
+    assert!(out.app_time() >= 0.01, "{}", out.app_time());
+}
