@@ -5,8 +5,6 @@
 //! * [`SimTime`] — NaN-free virtual time in seconds,
 //! * [`EventQueue`] — deterministic time-ordered event queue with FIFO
 //!   tie-breaking and one re-armable alarm,
-//! * [`GenSlab`] — a generation-stamped slot arena (hash-free hot-path id
-//!   maps),
 //! * [`stream_rng`] / [`Noise`] — reproducible per-stream randomness,
 //! * [`StepSeries`] — step-function time series for bandwidth plots,
 //! * [`stats`] — small numeric helpers for reports.
@@ -25,7 +23,6 @@ pub mod fault;
 mod queue;
 mod rng;
 mod series;
-mod slab;
 /// Numeric helpers (mean, percentiles, percentage splits).
 pub mod stats;
 mod time;
@@ -38,5 +35,4 @@ pub use fault::{
 pub use queue::EventQueue;
 pub use rng::{rank_phase_stream, stream_rng, Noise};
 pub use series::StepSeries;
-pub use slab::{GenKey, GenSlab};
 pub use time::SimTime;

@@ -6,7 +6,7 @@
 //! whose interval contains the region start — found with a sweep line over
 //! the sorted start/end times, exactly as Fig. 4 illustrates.
 
-use simcore::{Invariant, SimTime, StepSeries};
+use simcore::{SimTime, StepSeries};
 
 /// One rank-phase interval with its metric value.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -19,52 +19,101 @@ pub struct Interval {
     pub value: f64,
 }
 
+/// Maps a non-NaN `f64` to a `u64` with the same order (`-0.0 < 0.0`).
+fn ordered_bits(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | 1 << 63
+    }
+}
+
+/// The inverse of [`ordered_bits`].
+fn from_ordered_bits(k: u64) -> f64 {
+    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
+}
+
+/// The sort key of one sweep edge: its time, then its signed delta, as
+/// order-preserving bit patterns. Sorting by this one integer orders edges
+/// by time and, at equal times, applies removals before additions, so that
+/// a region never double-counts an interval that ends exactly where
+/// another starts (intervals are right-open). Equal keys carry equal
+/// deltas, so the order among them cannot change a sum. The time is
+/// `time + 0.0`, which folds `-0.0` into `0.0` and leaves every other
+/// time's bits as they are.
+fn edge_key(time: f64, delta: f64) -> u128 {
+    u128::from(ordered_bits(time + 0.0)) << 64 | u128::from(ordered_bits(delta))
+}
+
 /// Sweep-line aggregation (Eq. 3): returns the step series of
 /// `Σ value` over the overlap regions. Zero-length intervals are ignored
 /// (they would contribute to a region of measure zero), and so are
-/// zero-valued ones (they add nothing to any region).
+/// zero-valued ones (they add nothing to any region). Panics on a NaN
+/// value.
 pub fn sweep(intervals: &[Interval]) -> StepSeries {
-    // `(time, delta, opens)`: each interval opens with `+value` at `ts` and
-    // closes with `-value` at `te`.
-    let mut events: Vec<(f64, f64, bool)> = Vec::with_capacity(intervals.len() * 2);
+    // Each interval opens with `+value` at `ts` and closes with `-value`
+    // at `te`. The two kinds are sorted apart and merged: the tracer
+    // records phases and windows as they close, so the closing edges
+    // usually arrive sorted, which the sort finds in one linear pass.
+    let mut opens: Vec<u128> = Vec::with_capacity(intervals.len());
+    let mut closes: Vec<u128> = Vec::with_capacity(intervals.len());
+    // The point at time zero takes the sign of the first edge, in input
+    // order, among the zero-time edges of least delta — the edge a stable
+    // sort by `(time, delta)` would put first, as `-0.0 == 0.0` there.
+    let mut zero_first: Option<(f64, f64)> = None;
+    let mut zero = |time: f64, delta: f64| {
+        if time == 0.0 && zero_first.is_none_or(|(d, _)| delta < d) {
+            zero_first = Some((delta, time));
+        }
+    };
     for iv in intervals {
         debug_assert!(iv.te >= iv.ts, "interval must not be reversed");
         if iv.te > iv.ts && iv.value != 0.0 {
-            events.push((iv.ts, iv.value, true));
-            events.push((iv.te, -iv.value, false));
+            assert!(!iv.value.is_nan(), "sweep: NaN interval value");
+            zero(iv.ts, iv.value);
+            zero(iv.te, -iv.value);
+            opens.push(edge_key(iv.ts, iv.value));
+            closes.push(edge_key(iv.te, -iv.value));
         }
     }
-    // Sort by time; at equal times apply removals before additions so that a
-    // region never double-counts an interval that ends exactly where another
-    // starts (intervals are right-open).
-    events.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .invariant("NaN-free")
-            .then(a.1.partial_cmp(&b.1).invariant("NaN-free"))
-    });
+    opens.sort_unstable();
+    closes.sort_unstable();
+    // The next edge in key order, and whether it opens an interval.
+    let next = |i: usize, j: usize| match (opens.get(i), closes.get(j)) {
+        (Some(&a), Some(&b)) if a <= b => Some((a, true)),
+        (_, Some(&b)) => Some((b, false)),
+        (Some(&a), None) => Some((a, true)),
+        (None, None) => None,
+    };
     let mut series = StepSeries::new();
     let mut sum = 0.0;
-    let mut open = 0usize;
-    let mut i = 0;
-    while i < events.len() {
-        let t = events[i].0;
-        while i < events.len() && events[i].0 == t {
-            let (_, delta, opens) = events[i];
-            sum += delta;
-            if opens {
-                open += 1;
-            } else {
-                open -= 1;
-            }
+    // Edges taken so far from each side: `i - j` intervals are open.
+    let (mut i, mut j) = (0, 0);
+    let mut edge = next(i, j);
+    while let Some((key, opening)) = edge {
+        sum += from_ordered_bits(key as u64);
+        if opening {
             i += 1;
+        } else {
+            j += 1;
+        }
+        edge = next(i, j);
+        if edge.is_some_and(|(k, _)| k >> 64 == key >> 64) {
+            continue;
         }
         // With no interval open the true sum is exactly zero: drop the
         // cancellation residue so it never leaks into a later region. A
         // magnitude cutoff instead would also zero small values that are
         // open alongside much larger ones.
-        if open == 0 {
+        if i == j {
             sum = 0.0;
         }
+        let t = from_ordered_bits((key >> 64) as u64);
+        let t = match zero_first {
+            Some((_, zero)) if t == 0.0 => zero,
+            _ => t,
+        };
         series.push(SimTime::from_secs(t), sum);
     }
     series

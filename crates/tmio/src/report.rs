@@ -108,13 +108,29 @@ impl Deserialize for Report {
         for (i, w) in report.windows.iter().enumerate() {
             check_interval("window", i, w.start, w.end, &[w.bytes])?;
         }
+        for (i, s) in report.spans.iter().enumerate() {
+            check_interval("span", i, s.submit, s.complete, &[s.wait_enter, s.bytes])?;
+        }
+        for (i, s) in report.syncs.iter().enumerate() {
+            check_interval("sync", i, s.begin, s.end, &[s.bytes])?;
+        }
+        if let Some(i) = report.rank_end.iter().position(|t| !t.is_finite()) {
+            let t = report.rank_end[i];
+            return Err(serde::Error::custom(format!(
+                "rank_end {i}: non-finite {t}"
+            )));
+        }
+        if !report.retry_time.is_finite() {
+            let t = report.retry_time;
+            return Err(serde::Error::custom(format!("retry_time: non-finite {t}")));
+        }
         Ok(report)
     }
 }
 
-/// Rejects a trace interval the Eq. 3 sweep cannot take: a non-finite
-/// bound or value (JSON's `1e999` parses as infinity) or an end before the
-/// start.
+/// Rejects a trace interval the Eq. 3 sweep or the time decomposition
+/// cannot take: a non-finite bound or value (JSON's `1e999` parses as
+/// infinity) or an end before the start.
 fn check_interval(
     what: &str,
     i: usize,
@@ -366,9 +382,10 @@ impl Report {
         serde_json::to_string_pretty(self).invariant("report serializes")
     }
 
-    /// Parses a JSON trace produced by [`Report::to_json`]. A phase or
-    /// window that is reversed or has a non-finite time or value is an
-    /// error.
+    /// Parses a JSON trace produced by [`Report::to_json`]. A phase,
+    /// window, span or sync interval that is reversed or has a non-finite
+    /// time or value is an error, and so is a non-finite rank end time or
+    /// retry time.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
     }
@@ -548,16 +565,37 @@ mod tests {
         r.windows[0].end = -1.0;
         let err = Report::from_json(&r.to_json()).unwrap_err();
         assert!(err.to_string().contains("window 0: reversed"), "{err}");
+        let mut r = sample_report();
+        r.spans[0].complete = -0.5;
+        let err = Report::from_json(&r.to_json()).unwrap_err();
+        assert!(err.to_string().contains("span 0: reversed"), "{err}");
+        let mut r = sample_report();
+        r.syncs[0].end = 2.5;
+        let err = Report::from_json(&r.to_json()).unwrap_err();
+        assert!(err.to_string().contains("sync 0: reversed"), "{err}");
     }
 
     #[test]
     fn from_json_rejects_overflowing_time() {
-        let mut r = sample_report();
-        r.phases[0].te = 123.25;
-        let json = r.to_json();
-        assert_eq!(json.matches("123.25").count(), 1);
-        let err = Report::from_json(&json.replace("123.25", "1e999")).unwrap_err();
-        assert!(err.to_string().contains("phase 0: non-finite"), "{err}");
+        type Edit = fn(&mut Report);
+        let cases: [(&str, Edit); 8] = [
+            ("phase 0: non-finite", |r| r.phases[0].te = 123.25),
+            ("span 0: non-finite", |r| r.spans[0].complete = 123.25),
+            ("span 0: non-finite", |r| r.spans[0].wait_enter = 123.25),
+            ("span 0: non-finite", |r| r.spans[0].bytes = 123.25),
+            ("sync 0: non-finite", |r| r.syncs[0].end = 123.25),
+            ("sync 0: non-finite", |r| r.syncs[0].bytes = 123.25),
+            ("rank_end 1: non-finite", |r| r.rank_end[1] = 123.25),
+            ("retry_time: non-finite", |r| r.retry_time = 123.25),
+        ];
+        for (want, set) in cases {
+            let mut r = sample_report();
+            set(&mut r);
+            let json = r.to_json();
+            assert_eq!(json.matches("123.25").count(), 1, "{want}");
+            let err = Report::from_json(&json.replace("123.25", "1e999")).unwrap_err();
+            assert!(err.to_string().contains(want), "{want}: {err}");
+        }
     }
 
     #[test]

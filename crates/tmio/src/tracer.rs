@@ -18,14 +18,18 @@
 //! # Streaming pipeline
 //!
 //! The tracer sits on the simulation's per-event hot path, so its matching
-//! and record storage are allocation-free in steady state:
+//! and record storage are allocation-free in steady state and touch only
+//! the calling rank's state:
 //!
-//! * open request spans live in a generation-stamped slot arena
-//!   ([`simcore::GenSlab`]) indexed per rank by [`ReqTag`] — no hashing,
-//!   memory bounded by the peak number of outstanding requests;
-//! * closed phase/window/span/sync records land in structure-of-arrays
-//!   tables pre-sized with `with_capacity`, materialized into the report's
-//!   serialized row format only once at [`Tracer::into_report`].
+//! * each rank keeps its requests in one small vector in submit order and
+//!   finds a request by a linear scan of its tag — a rank has only a
+//!   handful in flight, so no index or hashing is needed, and the vector
+//!   stops growing at the rank's peak number of requests. The vector's
+//!   tail is the bandwidth queue, so a call touches one rank record and
+//!   one buffer;
+//! * closed phase/window/span/sync records are pushed as the report's own
+//!   row types into the vectors that become the [`crate::Report`] fields,
+//!   so [`Tracer::into_report`] moves them without a copy.
 //!
 //! The tracer records; it does not aggregate. The application-level Eq. 3
 //! series (`B_r`, `B_L`, `T`) are swept from the finished report's phase
@@ -34,7 +38,7 @@
 use crate::strategy::{Strategy, StrategyState};
 use mpisim::{Channel, IoHooks, Limits, ReqTag};
 use serde::{Deserialize, Serialize};
-use simcore::{GenKey, GenSlab, SimTime};
+use simcore::SimTime;
 
 /// How per-request bandwidths combine into the rank metric `B_{i,j}`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -230,324 +234,57 @@ pub struct SyncInterval {
     pub channel: ChannelKind,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Pending {
+/// One async request of a rank, kept from its submit until it has left the
+/// bandwidth queue and is no longer live.
+struct Request {
     tag: ReqTag,
-    bytes: f64,
-    ts: SimTime,
-}
-
-/// One open async request span, kept in the slot arena until both the
-/// completion and the matching wait have been observed.
-struct OpenSpan {
+    /// Found by its tag: neither recorded as a span yet nor displaced by a
+    /// resubmission of its tag.
+    live: bool,
+    channel: Channel,
     submit: SimTime,
+    bytes: f64,
     complete: Option<SimTime>,
     wait_enter: Option<SimTime>,
-    bytes: f64,
-    channel: Channel,
 }
 
-/// Tags below this bound resolve through a direct per-rank array probe;
-/// larger (unusual) tag values fall back to a small linear-scan list so a
-/// hostile tag like `u32::MAX` cannot balloon the index.
-const DENSE_TAGS: u32 = 4096;
-
-const NO_SPAN: u64 = u64::MAX;
-
-/// Per-rank index from [`ReqTag`] to the slot-arena key of its open span.
 #[derive(Default)]
-struct TagIndex {
-    /// `tag -> packed GenKey` for tags `< DENSE_TAGS`; grown lazily to the
-    /// highest tag seen. `NO_SPAN` marks an empty cell.
-    dense: Vec<u64>,
-    /// Overflow entries for out-of-range tags (linear scan; rare).
-    sparse: Vec<(u32, u64)>,
-}
-
-impl TagIndex {
-    /// Binds `tag` to `key`, returning a displaced key if the tag was
-    /// already bound (mirrors `HashMap::insert` semantics).
-    fn insert(&mut self, tag: u32, key: GenKey) -> Option<GenKey> {
-        let key = key.as_u64();
-        if tag < DENSE_TAGS {
-            let i = tag as usize;
-            if i >= self.dense.len() {
-                self.dense.resize(i + 1, NO_SPAN);
-            }
-            let old = std::mem::replace(&mut self.dense[i], key);
-            (old != NO_SPAN).then(|| GenKey::from_u64(old))
-        } else {
-            match self.sparse.iter_mut().find(|(t, _)| *t == tag) {
-                Some(e) => Some(GenKey::from_u64(std::mem::replace(&mut e.1, key))),
-                None => {
-                    self.sparse.push((tag, key));
-                    None
-                }
-            }
-        }
-    }
-
-    fn get(&self, tag: u32) -> Option<GenKey> {
-        if tag < DENSE_TAGS {
-            match self.dense.get(tag as usize) {
-                Some(&k) if k != NO_SPAN => Some(GenKey::from_u64(k)),
-                _ => None,
-            }
-        } else {
-            self.sparse
-                .iter()
-                .find(|(t, _)| *t == tag)
-                .map(|&(_, k)| GenKey::from_u64(k))
-        }
-    }
-
-    fn remove(&mut self, tag: u32) -> Option<GenKey> {
-        if tag < DENSE_TAGS {
-            match self.dense.get_mut(tag as usize) {
-                Some(k) if *k != NO_SPAN => Some(GenKey::from_u64(std::mem::replace(k, NO_SPAN))),
-                _ => None,
-            }
-        } else {
-            let i = self.sparse.iter().position(|(t, _)| *t == tag)?;
-            Some(GenKey::from_u64(self.sparse.swap_remove(i).1))
-        }
-    }
-}
-
 struct RankTrace {
     phase: usize,
-    queue: Vec<Pending>,
+    /// The rank's requests in submit order, at most one live per tag,
+    /// searched linearly: a rank has only a handful in flight.
+    /// `reqs[queued..]` is the bandwidth queue, the current phase's
+    /// requests; those before it are live requests of earlier phases.
+    reqs: Vec<Request>,
+    queued: usize,
+    /// Tags of the queue that reached their wait ([`TeMode::LastWait`]
+    /// only).
     waited: Vec<ReqTag>,
-    /// Open-span index of this rank's outstanding requests.
-    tags: TagIndex,
     tq_outstanding: usize,
     tq_start: SimTime,
     tq_bytes: f64,
     strategy: StrategyState,
     sync_begin: SimTime,
-    end: Option<SimTime>,
 }
 
 impl RankTrace {
-    fn new() -> Self {
-        RankTrace {
-            phase: 0,
-            queue: Vec::with_capacity(8),
-            waited: Vec::with_capacity(8),
-            tags: TagIndex::default(),
-            tq_outstanding: 0,
-            tq_start: SimTime::ZERO,
-            tq_bytes: 0.0,
-            strategy: StrategyState::default(),
-            sync_begin: SimTime::ZERO,
-            end: None,
+    /// The bandwidth queue: the current phase's requests, in submit order.
+    fn queue(&self) -> &[Request] {
+        &self.reqs[self.queued..]
+    }
+
+    /// The index of the live request with `tag`.
+    fn find(&self, tag: ReqTag) -> Option<usize> {
+        self.reqs.iter().position(|r| r.live && r.tag == tag)
+    }
+
+    /// Ends request `i`'s life; it stays only while it is queued.
+    fn retire(&mut self, i: usize) {
+        self.reqs[i].live = false;
+        if i < self.queued {
+            self.reqs.remove(i);
+            self.queued -= 1;
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Structure-of-arrays record tables. Hot-path pushes touch parallel
-// column vectors (pre-sized, no per-record allocation); the serialized
-// row structs are materialized once at `into_report`.
-
-#[derive(Default)]
-struct PhaseTable {
-    rank: Vec<u32>,
-    phase: Vec<u32>,
-    ts: Vec<f64>,
-    te: Vec<f64>,
-    bytes: Vec<f64>,
-    b_required: Vec<f64>,
-    limit_during: Vec<Option<f64>>,
-    limit_next: Vec<Option<f64>>,
-    n_requests: Vec<u32>,
-}
-
-impl PhaseTable {
-    fn with_capacity(n: usize) -> Self {
-        PhaseTable {
-            rank: Vec::with_capacity(n),
-            phase: Vec::with_capacity(n),
-            ts: Vec::with_capacity(n),
-            te: Vec::with_capacity(n),
-            bytes: Vec::with_capacity(n),
-            b_required: Vec::with_capacity(n),
-            limit_during: Vec::with_capacity(n),
-            limit_next: Vec::with_capacity(n),
-            n_requests: Vec::with_capacity(n),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        rank: usize,
-        phase: usize,
-        ts: f64,
-        te: f64,
-        bytes: f64,
-        b_required: f64,
-        limit_during: Option<f64>,
-        limit_next: Option<f64>,
-        n_requests: usize,
-    ) {
-        self.rank.push(rank as u32);
-        self.phase.push(phase as u32);
-        self.ts.push(ts);
-        self.te.push(te);
-        self.bytes.push(bytes);
-        self.b_required.push(b_required);
-        self.limit_during.push(limit_during);
-        self.limit_next.push(limit_next);
-        self.n_requests.push(n_requests as u32);
-    }
-
-    fn materialize(self) -> Vec<PhaseRecord> {
-        (0..self.rank.len())
-            .map(|i| PhaseRecord {
-                rank: self.rank[i] as usize,
-                phase: self.phase[i] as usize,
-                ts: self.ts[i],
-                te: self.te[i],
-                bytes: self.bytes[i],
-                b_required: self.b_required[i],
-                limit_during: self.limit_during[i],
-                limit_next: self.limit_next[i],
-                n_requests: self.n_requests[i] as usize,
-            })
-            .collect()
-    }
-}
-
-#[derive(Default)]
-struct WindowTable {
-    rank: Vec<u32>,
-    start: Vec<f64>,
-    end: Vec<f64>,
-    bytes: Vec<f64>,
-}
-
-impl WindowTable {
-    fn with_capacity(n: usize) -> Self {
-        WindowTable {
-            rank: Vec::with_capacity(n),
-            start: Vec::with_capacity(n),
-            end: Vec::with_capacity(n),
-            bytes: Vec::with_capacity(n),
-        }
-    }
-
-    fn push(&mut self, rank: usize, start: f64, end: f64, bytes: f64) {
-        self.rank.push(rank as u32);
-        self.start.push(start);
-        self.end.push(end);
-        self.bytes.push(bytes);
-    }
-
-    fn materialize(self) -> Vec<ThroughputWindow> {
-        (0..self.rank.len())
-            .map(|i| ThroughputWindow {
-                rank: self.rank[i] as usize,
-                start: self.start[i],
-                end: self.end[i],
-                bytes: self.bytes[i],
-            })
-            .collect()
-    }
-}
-
-#[derive(Default)]
-struct SpanTable {
-    rank: Vec<u32>,
-    submit: Vec<f64>,
-    complete: Vec<f64>,
-    wait_enter: Vec<f64>,
-    bytes: Vec<f64>,
-    channel: Vec<ChannelKind>,
-}
-
-impl SpanTable {
-    fn with_capacity(n: usize) -> Self {
-        SpanTable {
-            rank: Vec::with_capacity(n),
-            submit: Vec::with_capacity(n),
-            complete: Vec::with_capacity(n),
-            wait_enter: Vec::with_capacity(n),
-            bytes: Vec::with_capacity(n),
-            channel: Vec::with_capacity(n),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        rank: usize,
-        submit: f64,
-        complete: f64,
-        wait_enter: f64,
-        bytes: f64,
-        channel: ChannelKind,
-    ) {
-        self.rank.push(rank as u32);
-        self.submit.push(submit);
-        self.complete.push(complete);
-        self.wait_enter.push(wait_enter);
-        self.bytes.push(bytes);
-        self.channel.push(channel);
-    }
-
-    fn materialize(self) -> Vec<AsyncSpan> {
-        (0..self.rank.len())
-            .map(|i| AsyncSpan {
-                rank: self.rank[i] as usize,
-                submit: self.submit[i],
-                complete: self.complete[i],
-                wait_enter: self.wait_enter[i],
-                bytes: self.bytes[i],
-                channel: self.channel[i],
-            })
-            .collect()
-    }
-}
-
-#[derive(Default)]
-struct SyncTable {
-    rank: Vec<u32>,
-    begin: Vec<f64>,
-    end: Vec<f64>,
-    bytes: Vec<f64>,
-    channel: Vec<ChannelKind>,
-}
-
-impl SyncTable {
-    fn with_capacity(n: usize) -> Self {
-        SyncTable {
-            rank: Vec::with_capacity(n),
-            begin: Vec::with_capacity(n),
-            end: Vec::with_capacity(n),
-            bytes: Vec::with_capacity(n),
-            channel: Vec::with_capacity(n),
-        }
-    }
-
-    fn push(&mut self, rank: usize, begin: f64, end: f64, bytes: f64, channel: ChannelKind) {
-        self.rank.push(rank as u32);
-        self.begin.push(begin);
-        self.end.push(end);
-        self.bytes.push(bytes);
-        self.channel.push(channel);
-    }
-
-    fn materialize(self) -> Vec<SyncInterval> {
-        (0..self.rank.len())
-            .map(|i| SyncInterval {
-                rank: self.rank[i] as usize,
-                begin: self.begin[i],
-                end: self.end[i],
-                bytes: self.bytes[i],
-                channel: self.channel[i],
-            })
-            .collect()
     }
 }
 
@@ -556,12 +293,10 @@ impl SyncTable {
 pub struct Tracer {
     cfg: TracerConfig,
     ranks: Vec<RankTrace>,
-    /// Open async spans, keyed through each rank's [`TagIndex`].
-    open_spans: GenSlab<OpenSpan>,
-    phases: PhaseTable,
-    windows: WindowTable,
-    spans: SpanTable,
-    syncs: SyncTable,
+    phases: Vec<PhaseRecord>,
+    windows: Vec<ThroughputWindow>,
+    spans: Vec<AsyncSpan>,
+    syncs: Vec<SyncInterval>,
     /// Resident per-rank end times (the finalize gather's scratch).
     rank_end: Vec<f64>,
     faults: Vec<crate::report::FaultEventRecord>,
@@ -572,18 +307,13 @@ pub struct Tracer {
 impl Tracer {
     /// Creates a tracer for `n_ranks` ranks.
     pub fn new(n_ranks: usize, cfg: TracerConfig) -> Self {
-        // Pre-size the record tables for a typical multi-phase run; the
-        // columns grow geometrically past this without churn.
-        let per_rank = 16;
-        let cap = n_ranks * per_rank;
         Tracer {
             cfg,
-            ranks: (0..n_ranks).map(|_| RankTrace::new()).collect(),
-            open_spans: GenSlab::with_capacity(n_ranks * 2),
-            phases: PhaseTable::with_capacity(cap),
-            windows: WindowTable::with_capacity(cap),
-            spans: SpanTable::with_capacity(cap),
-            syncs: SyncTable::with_capacity(n_ranks * 4),
+            ranks: (0..n_ranks).map(|_| RankTrace::default()).collect(),
+            phases: Vec::with_capacity(16 * n_ranks),
+            windows: Vec::with_capacity(16 * n_ranks),
+            spans: Vec::with_capacity(16 * n_ranks),
+            syncs: Vec::with_capacity(4 * n_ranks),
             rank_end: vec![0.0; n_ranks],
             faults: Vec::new(),
             retry_time: 0.0,
@@ -606,18 +336,20 @@ impl Tracer {
     fn close_phase(&mut self, rank: usize, te: SimTime, limits: &mut Limits) {
         let cfg = self.cfg;
         let rt = &mut self.ranks[rank];
-        if rt.queue.is_empty() {
+        let queue = rt.queue();
+        let Some(first) = queue.first() else {
             return;
-        }
+        };
+        let ts = first.submit.as_secs();
         let te_s = te.as_secs();
         let mut b_sum = 0.0;
         let mut bytes = 0.0;
-        for p in &rt.queue {
-            let dt = (te_s - p.ts.as_secs()).max(1e-9);
+        for p in queue {
+            let dt = (te_s - p.submit.as_secs()).max(1e-9);
             b_sum += p.bytes / dt;
             bytes += p.bytes;
         }
-        let n = rt.queue.len();
+        let n = queue.len();
         let b = match cfg.aggregation {
             Aggregation::Sum => b_sum,
             Aggregation::Mean => b_sum / n as f64,
@@ -630,13 +362,45 @@ impl Tracer {
         if let Some(l) = limit_next {
             limits.set(rank, Some(l));
         }
-        let ts = rt.queue[0].ts.as_secs();
         let phase = rt.phase;
         rt.phase += 1;
-        rt.queue.clear();
+        rt.reqs.retain(|r| r.live);
+        rt.queued = rt.reqs.len();
         rt.waited.clear();
-        self.phases
-            .push(rank, phase, ts, te_s, bytes, b, limit_during, limit_next, n);
+        self.phases.push(PhaseRecord {
+            rank,
+            phase,
+            ts,
+            te: te_s,
+            bytes,
+            b_required: b,
+            limit_during,
+            limit_next,
+            n_requests: n,
+        });
+    }
+
+    /// Records an observation on rank `rank`'s outstanding request `tag`
+    /// and emits its [`AsyncSpan`] once both its completion and its wait
+    /// are known. A tag with no outstanding request is ignored.
+    fn observe(&mut self, rank: usize, tag: ReqTag, see: impl FnOnce(&mut Request)) {
+        let rt = &mut self.ranks[rank];
+        let Some(i) = rt.find(tag) else {
+            return;
+        };
+        let r = &mut rt.reqs[i];
+        see(r);
+        if let (Some(complete), Some(wait_enter)) = (r.complete, r.wait_enter) {
+            self.spans.push(AsyncSpan {
+                rank,
+                submit: r.submit.as_secs(),
+                complete: complete.as_secs(),
+                wait_enter: wait_enter.as_secs(),
+                bytes: r.bytes,
+                channel: r.channel.into(),
+            });
+            rt.retire(i);
+        }
     }
 
     /// Finalizes and returns the report. `n_ranks` post-overhead is modeled
@@ -648,10 +412,10 @@ impl Tracer {
         crate::report::Report {
             n_ranks,
             strategy_name: self.cfg.strategy.name().to_string(),
-            phases: self.phases.materialize(),
-            windows: self.windows.materialize(),
-            spans: self.spans.materialize(),
-            syncs: self.syncs.materialize(),
+            phases: self.phases,
+            windows: self.windows,
+            spans: self.spans,
+            syncs: self.syncs,
             rank_end: self.rank_end,
             calls: self.calls,
             peri_overhead,
@@ -677,44 +441,42 @@ impl IoHooks for Tracer {
         _limits: &mut Limits,
     ) -> f64 {
         let rt = &mut self.ranks[rank];
-        rt.queue.push(Pending { tag, bytes, ts: t });
         if rt.tq_outstanding == 0 {
             rt.tq_start = t;
             rt.tq_bytes = 0.0;
         }
         rt.tq_outstanding += 1;
         rt.tq_bytes += bytes;
-        let key = self.open_spans.insert(OpenSpan {
+        // A resubmitted tag displaces its forgotten predecessor unrecorded.
+        if let Some(i) = rt.find(tag) {
+            rt.retire(i);
+        }
+        rt.reqs.push(Request {
+            tag,
+            live: true,
+            channel,
             submit: t,
+            bytes,
             complete: None,
             wait_enter: None,
-            bytes,
-            channel,
         });
-        if let Some(stale) = self.ranks[rank].tags.insert(tag.0, key) {
-            // A resubmitted tag displaces its forgotten predecessor, as the
-            // old map-insert semantics did.
-            self.open_spans.remove(stale);
-        }
         self.call_overhead()
     }
 
     fn on_request_complete(&mut self, t: SimTime, rank: usize, tag: ReqTag) {
-        if let Some(span) = self.ranks[rank]
-            .tags
-            .get(tag.0)
-            .and_then(|k| self.open_spans.get_mut(k))
-        {
-            span.complete = Some(t);
-        }
-        self.try_close_span(rank, tag);
+        self.observe(rank, tag, |r| r.complete = Some(t));
         let rt = &mut self.ranks[rank];
         debug_assert!(rt.tq_outstanding > 0);
         rt.tq_outstanding -= 1;
         if rt.tq_outstanding == 0 {
             let start = rt.tq_start.as_secs();
             let end = t.as_secs();
-            self.windows.push(rank, start, end, rt.tq_bytes);
+            self.windows.push(ThroughputWindow {
+                rank,
+                start,
+                end,
+                bytes: rt.tq_bytes,
+            });
         }
     }
 
@@ -726,22 +488,16 @@ impl IoHooks for Tracer {
         _already_done: bool,
         limits: &mut Limits,
     ) -> f64 {
-        if let Some(span) = self.ranks[rank]
-            .tags
-            .get(tag.0)
-            .and_then(|k| self.open_spans.get_mut(k))
-        {
-            span.wait_enter = Some(t);
-        }
-        self.try_close_span(rank, tag);
+        self.observe(rank, tag, |r| r.wait_enter = Some(t));
         let rt = &mut self.ranks[rank];
         let close = match self.cfg.te_mode {
-            TeMode::FirstWait => rt.queue.first().is_some_and(|p| p.tag == tag),
+            TeMode::FirstWait => rt.queue().first().is_some_and(|p| p.tag == tag),
             TeMode::LastWait => {
-                if rt.queue.iter().any(|p| p.tag == tag) {
+                if rt.queue().iter().any(|p| p.tag == tag) {
                     rt.waited.push(tag);
                 }
-                !rt.queue.is_empty() && rt.queue.iter().all(|p| rt.waited.contains(&p.tag))
+                let queue = rt.queue();
+                !queue.is_empty() && queue.iter().all(|p| rt.waited.contains(&p.tag))
             }
         };
         if close {
@@ -781,8 +537,13 @@ impl IoHooks for Tracer {
         _limits: &mut Limits,
     ) -> f64 {
         let begin = self.ranks[rank].sync_begin;
-        self.syncs
-            .push(rank, begin.as_secs(), t.as_secs(), bytes, channel.into());
+        self.syncs.push(SyncInterval {
+            rank,
+            begin: begin.as_secs(),
+            end: t.as_secs(),
+            bytes,
+            channel: channel.into(),
+        });
         self.call_overhead()
     }
 
@@ -829,37 +590,6 @@ impl IoHooks for Tracer {
     }
 
     fn on_rank_done(&mut self, t: SimTime, rank: usize) {
-        self.ranks[rank].end = Some(t);
         self.rank_end[rank] = t.as_secs();
-    }
-}
-
-impl Tracer {
-    /// Emits the finished [`AsyncSpan`] once both completion and wait-enter
-    /// are known.
-    fn try_close_span(&mut self, rank: usize, tag: ReqTag) {
-        let Some(key) = self.ranks[rank].tags.get(tag.0) else {
-            return;
-        };
-        let ready = self
-            .open_spans
-            .get(key)
-            .is_some_and(|s| s.complete.is_some() && s.wait_enter.is_some());
-        if ready {
-            self.ranks[rank].tags.remove(tag.0);
-            if let Some(s) = self.open_spans.remove(key) {
-                let (Some(complete), Some(wait_enter)) = (s.complete, s.wait_enter) else {
-                    return;
-                };
-                self.spans.push(
-                    rank,
-                    s.submit.as_secs(),
-                    complete.as_secs(),
-                    wait_enter.as_secs(),
-                    s.bytes,
-                    s.channel.into(),
-                );
-            }
-        }
     }
 }

@@ -47,8 +47,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const MB: f64 = 1e6;
 
 /// Periodic async-write app reusing a single request tag, so the tracer's
-/// dense tag slots and the world's request table hit the recycle path on
-/// every phase after the first.
+/// per-rank request vectors and the world's request table hit the recycle
+/// path on every phase after the first.
 fn periodic_app(phases: usize) -> Program {
     let mut ops = Vec::with_capacity(3 * phases);
     for _ in 0..phases {
